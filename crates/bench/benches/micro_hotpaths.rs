@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the four flattened hot paths: event-queue
 //! churn (slab + packed-key heap), cache write hits (flat way array),
-//! directory upgrades (dense two-tier directory), and deep-sleep flushes
-//! (scratch-buffer dirty-line collection). These isolate the data
+//! directory upgrades (dense two-tier directory, inline sole-sharer
+//! refill), and deep-sleep flushes (per-cache dirty index), the last two
+//! at the working-set sizes of the applications. These isolate the data
 //! structures the macro benchmark (`bench_sim`) exercises end-to-end, so a
 //! regression in one shows up by name.
 //!
@@ -62,44 +63,53 @@ fn cache_access_hit(c: &mut Criterion) {
     });
 }
 
+/// Working-set sizes for the flush/refill cases: 64 lines, and FMM-scale
+/// sets (256 lines is the largest working set in `tb-workloads`'
+/// applications).
+const FLUSH_LINES: [u32; 3] = [64, 192, 256];
+
 /// The post-flush rewrite transaction: a sole sharer re-acquiring write
 /// permission (Shared at the writer -> directory upgrade, no remote
-/// invalidations). Each iteration flushes 64 dirty lines and rewrites
-/// them, so the upgrade dominates the loop.
+/// invalidations). Each iteration flushes the dirty lines and rewrites
+/// them, so the upgrades dominate the loop.
 fn directory_upgrade(c: &mut Criterion) {
-    c.bench_function("directory_upgrade", |b| {
-        let nodes = tb_bench::bench_nodes();
-        let mut m = MemorySystem::new(MachineConfig::table1_with_nodes(nodes));
-        let node = NodeId::new(nodes / 2);
-        let base = m.layout().shared_addr(3, 0);
-        let mut t = m.write_line_run(node, base, 64, Cycles::ZERO);
-        b.iter(|| {
-            let f = m.flush_dirty_shared(node, t);
-            t += f.duration;
-            t = m.write_line_run(node, base, 64, t);
-            black_box(t)
+    for lines in FLUSH_LINES {
+        c.bench_function(&format!("directory_upgrade/{lines}"), |b| {
+            let nodes = tb_bench::bench_nodes();
+            let mut m = MemorySystem::new(MachineConfig::table1_with_nodes(nodes));
+            let node = NodeId::new(nodes / 2);
+            let base = m.layout().shared_addr(3, 0);
+            let mut t = m.write_line_run(node, base, lines, Cycles::ZERO);
+            b.iter(|| {
+                let f = m.flush_dirty_shared(node, t);
+                t += f.duration;
+                t = m.write_line_run(node, base, lines, t);
+                black_box(t)
+            });
         });
-    });
+    }
 }
 
-/// The deep-sleep entry cost: collecting and downgrading a node's dirty
-/// shared lines (scratch-buffer collection, no allocation after warm-up).
-/// Each iteration re-dirties the set with silent writes first, so the
-/// flush always has 64 lines to do.
+/// The deep-sleep entry cost: downgrading a node's dirty shared lines
+/// through the dirty index. Each iteration re-dirties the set first (by
+/// post-flush upgrades, the only way back to Modified), so the flush
+/// always has the whole set to do.
 fn flush_dirty_lines(c: &mut Criterion) {
-    c.bench_function("flush_dirty_lines", |b| {
-        let nodes = tb_bench::bench_nodes();
-        let mut m = MemorySystem::new(MachineConfig::table1_with_nodes(nodes));
-        let node = NodeId::new(1);
-        let base = m.layout().shared_addr(3, 0);
-        let mut t = m.write_line_run(node, base, 64, Cycles::ZERO);
-        b.iter(|| {
-            t = m.write_line_run(node, base, 64, t);
-            let f = m.flush_dirty_shared(node, t);
-            t += f.duration;
-            black_box(f.lines)
+    for lines in FLUSH_LINES {
+        c.bench_function(&format!("flush_dirty_lines/{lines}"), |b| {
+            let nodes = tb_bench::bench_nodes();
+            let mut m = MemorySystem::new(MachineConfig::table1_with_nodes(nodes));
+            let node = NodeId::new(1);
+            let base = m.layout().shared_addr(3, 0);
+            let mut t = m.write_line_run(node, base, lines, Cycles::ZERO);
+            b.iter(|| {
+                t = m.write_line_run(node, base, lines, t);
+                let f = m.flush_dirty_shared(node, t);
+                t += f.duration;
+                black_box(f.lines)
+            });
         });
-    });
+    }
 }
 
 criterion_group!(

@@ -31,7 +31,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Shared pages covered by the dense tier. The machine layer places the
 /// barrier pages at 2–3 and the working sets at pages 64..576
 /// (`DIRTY_BASE_PAGE + 64 threads × 8 pages`); 1024 pages leaves slack
-/// for future layouts while costing only `1024 × 64 × 1 B` of storage.
+/// for future layouts. A `DirState` is 16 B, so the tier costs
+/// `1024 pages × 64 lines × 16 B` = 1 MiB per memory system.
 const DENSE_PAGES: u64 = 1024;
 
 /// Line numbers below this hit the dense tier.
@@ -192,6 +193,12 @@ mod tests {
         let mut got: Vec<u64> = d.iter().map(|(l, _)| l.as_u64()).collect();
         got.sort_unstable();
         assert_eq!(got, vec![2, DENSE_LINES + 9]);
+    }
+
+    #[test]
+    fn dense_tier_costs_one_mib() {
+        let bytes = std::mem::size_of::<DirState>() * DENSE_LINES as usize;
+        assert_eq!(bytes, 1 << 20);
     }
 
     #[test]

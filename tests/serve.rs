@@ -11,6 +11,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn bin(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_thrifty-barrier"))
@@ -36,10 +37,15 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// A fresh temp path for every call: libtest runs tests on parallel
+/// threads of one process, so the pid alone would let two tests (or two
+/// calls of one helper) share a file and race on it.
 fn tmp(name: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("tb-serve-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{}-{name}", std::process::id()))
+    let call = NEXT.fetch_add(1, Ordering::Relaxed);
+    dir.join(format!("{}-{call}-{name}", std::process::id()))
 }
 
 /// The headline byte-identity bar: a fleet sweep at every worker count
