@@ -2,15 +2,18 @@
 //! churn (slab + packed-key heap), cache write hits (flat way array),
 //! directory upgrades (dense two-tier directory, inline sole-sharer
 //! refill), and deep-sleep flushes (per-cache dirty index), the last two
-//! at the working-set sizes of the applications. These isolate the data
-//! structures the macro benchmark (`bench_sim`) exercises end-to-end, so a
-//! regression in one shows up by name.
+//! at the working-set sizes of the applications; plus calibrated trace
+//! generation, the sweep's setup cost. These isolate the data structures
+//! the macro benchmark (`bench_sim`) exercises end-to-end, so a regression
+//! in one shows up by name.
 //!
 //! The directory benches honor `TB_BENCH_NODES` (machine size).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use tb_machine::run::PAPER_SEED;
 use tb_mem::{Cache, CacheConfig, LineState, MachineConfig, MemorySystem, NodeId};
 use tb_sim::{Cycles, EventQueue};
+use tb_workloads::AppSpec;
 
 /// Steady-state churn at a realistic pending population (64 events, the
 /// paper machine's thread count): every iteration pops the earliest event,
@@ -112,11 +115,23 @@ fn flush_dirty_lines(c: &mut Criterion) {
     }
 }
 
+/// One calibrated trace, as the harness builds it once per (app, nodes,
+/// seed): FMM at the paper seed on an 8- and a 64-processor machine.
+fn trace_generate(c: &mut Criterion) {
+    let fmm = AppSpec::by_name("FMM").expect("FMM is a SPLASH-2 model");
+    for threads in [8, 64] {
+        c.bench_function(&format!("trace_generate/{threads}"), |b| {
+            b.iter(|| black_box(fmm.generate(black_box(threads), PAPER_SEED)))
+        });
+    }
+}
+
 criterion_group!(
     hotpaths,
     event_queue_churn,
     cache_access_hit,
     directory_upgrade,
-    flush_dirty_lines
+    flush_dirty_lines,
+    trace_generate
 );
 criterion_main!(hotpaths);

@@ -168,10 +168,12 @@ impl SimulatorConfig {
         }
     }
 
-    /// Same, but sized for `nodes` processors.
+    /// Same, but sized for `nodes` processors. The observed thread stays 5
+    /// where the machine has one, else it is the last thread.
     pub fn paper_with_nodes(config_name: impl Into<String>, nodes: u16) -> Self {
         SimulatorConfig {
             machine: MachineConfig::table1_with_nodes(nodes),
+            observed_thread: usize::from(nodes).saturating_sub(1).min(5),
             ..SimulatorConfig::paper(config_name)
         }
     }
@@ -1292,6 +1294,14 @@ mod tests {
             faults: None,
             trace: SinkHandle::disabled(),
             progress_budget: Some(DEFAULT_PROGRESS_BUDGET),
+        }
+    }
+
+    #[test]
+    fn paper_observed_thread_fits_small_machines() {
+        for (nodes, observed) in [(2, 1), (4, 3), (8, 5), (64, 5)] {
+            let cfg = SimulatorConfig::paper_with_nodes("Baseline", nodes);
+            assert_eq!(cfg.observed_thread, observed, "{nodes} nodes");
         }
     }
 

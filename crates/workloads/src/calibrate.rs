@@ -4,13 +4,15 @@
 //! generated trace's *measured* baseline barrier imbalance equals the
 //! paper's Table 2 value. The mapping `w → imbalance` is monotone (more
 //! spread, more stall) and continuous for a fixed random stream, so a
-//! simple bisection over `w ∈ [0, 1)` converges quickly. The measurement
-//! used during calibration is [`crate::AppTrace::analytic_imbalance`],
-//! which matches the full machine simulation to well under a percentage
-//! point because barrier entry/exit overheads are microseconds against
-//! millisecond intervals.
+//! simple bisection over `w ∈ [0, 1)` converges quickly. The bisection runs
+//! on one set of random draws ([`Draws`]): each probe is an arithmetic pass
+//! over them, and the trace is built from the same draws once, at the
+//! solved spread. The measurement used during calibration is
+//! [`crate::AppTrace::analytic_imbalance`], which matches the full machine
+//! simulation to well under a percentage point because barrier entry/exit
+//! overheads are microseconds against millisecond intervals.
 
-use crate::spec::AppSpec;
+use crate::trace::Draws;
 
 /// Upper bound of the spread parameter (exclusive); at `w → 1` every
 /// thread's work goes to zero except the stragglers'.
@@ -19,31 +21,17 @@ const W_MAX: f64 = 0.999;
 /// Bisection iterations; 40 halvings of `[0,1]` reach ~1e-12 resolution.
 const ITERATIONS: u32 = 40;
 
-/// Solves the spread `w` for which the generated trace's imbalance matches
-/// `spec.target_imbalance`.
+/// Solves the spread `w` for which the trace drawn in `draws` has imbalance
+/// `target`.
 ///
-/// # Panics
-///
-/// Panics if the target is unreachable even at the maximum spread (the
-/// spec validation bounds make this impossible for sane skews, but a
-/// pathological spec with `skew` enormous could trip it).
-pub fn calibrate_spread(spec: &AppSpec, threads: usize, seed: u64) -> f64 {
-    let imbalance_at = |w: f64| {
-        spec.generate_with_spread(threads, seed, w)
-            .analytic_imbalance()
-    };
-    let target = spec.target_imbalance;
-    let at_max = imbalance_at(W_MAX);
-    assert!(
-        at_max >= target,
-        "{}: target imbalance {target:.3} unreachable (max {at_max:.3}); \
-         reduce skew or target",
-        spec.name
-    );
+/// A target beyond the largest imbalance the draws can give (Volrend's
+/// 48.2 % on two processors) saturates: the spread converges to `W_MAX`,
+/// the most imbalanced trace the model makes.
+pub(crate) fn calibrate_spread(draws: &Draws, target: f64) -> f64 {
     let (mut lo, mut hi) = (0.0_f64, W_MAX);
     for _ in 0..ITERATIONS {
         let mid = 0.5 * (lo + hi);
-        if imbalance_at(mid) < target {
+        if draws.imbalance(mid) < target {
             lo = mid;
         } else {
             hi = mid;
@@ -55,7 +43,7 @@ pub fn calibrate_spread(spec: &AppSpec, threads: usize, seed: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{PhaseSpec, Variability};
+    use crate::spec::{AppSpec, PhaseSpec, Variability};
     use tb_sim::Cycles;
 
     fn spec(target: f64) -> AppSpec {
@@ -78,20 +66,20 @@ mod tests {
     #[test]
     fn hits_low_and_high_targets() {
         for target in [0.01, 0.05, 0.16, 0.30, 0.482] {
-            let s = spec(target);
-            let w = calibrate_spread(&s, 64, 11);
-            let got = s.generate_with_spread(64, 11, w).analytic_imbalance();
+            let t = spec(target).generate(64, 11);
+            let got = t.analytic_imbalance();
             assert!(
                 (got - target).abs() < 0.005,
-                "target {target}: got {got} at w={w}"
+                "target {target}: got {got} at w={}",
+                t.spread
             );
         }
     }
 
     #[test]
     fn spread_grows_with_target() {
-        let w_small = calibrate_spread(&spec(0.05), 32, 3);
-        let w_large = calibrate_spread(&spec(0.30), 32, 3);
+        let w_small = spec(0.05).generate(32, 3).spread;
+        let w_large = spec(0.30).generate(32, 3).spread;
         assert!(w_small < w_large);
     }
 
@@ -99,10 +87,20 @@ mod tests {
     fn calibration_is_thread_count_aware() {
         // The same target should be achievable at different machine sizes.
         for threads in [16, 32, 64] {
-            let s = spec(0.20);
-            let w = calibrate_spread(&s, threads, 5);
-            let got = s.generate_with_spread(threads, 5, w).analytic_imbalance();
+            let got = spec(0.20).generate(threads, 5).analytic_imbalance();
             assert!((got - 0.20).abs() < 0.01, "threads={threads}: {got}");
         }
+    }
+
+    #[test]
+    fn unreachable_target_saturates_at_max_spread() {
+        // Two threads cannot reach 48.2 % at this skew: the spread runs up
+        // to W_MAX and the trace is as imbalanced as the model allows.
+        let s = spec(0.482);
+        let t = s.generate(2, 7);
+        assert!(W_MAX - t.spread < 1e-9, "spread {}", t.spread);
+        let at_max = s.generate_with_spread(2, 7, W_MAX).analytic_imbalance();
+        assert!(t.analytic_imbalance() < 0.482);
+        assert!((t.analytic_imbalance() - at_max).abs() < 1e-6);
     }
 }

@@ -12,7 +12,7 @@
 //! * [`spec`] — application descriptions: phases with base interval times,
 //!   per-instance variability models (stable / swinging / drifting), and
 //!   dirty-line footprints.
-//! * [`calibrate`] — solves each application's imbalance knob so that the
+//! * `calibrate` — solves each application's imbalance knob so that the
 //!   generated trace's *measured* baseline barrier imbalance matches the
 //!   paper's Table 2 value (Volrend 48.2 % … Radiosity 1.04 %).
 //! * [`apps`] — the ten application models, with each app's documented
@@ -34,7 +34,7 @@
 //! ```
 
 pub mod apps;
-pub mod calibrate;
+mod calibrate;
 pub mod spec;
 pub mod trace;
 

@@ -15,7 +15,7 @@
 //! (instance, thread) — so the straggler identity shifts across instances,
 //! which is precisely why *direct* BST prediction is hard while the
 //! interval (`max T`) stays stable (§3.2, Figure 3). The spread `w ∈ [0,1)`
-//! is calibrated by [`crate::calibrate`] so the trace's measured imbalance
+//! is calibrated (the `calibrate` module) so the trace's measured imbalance
 //! matches Table 2.
 
 use crate::calibrate::calibrate_spread;
@@ -121,34 +121,141 @@ impl AppTrace {
     }
 }
 
-/// Generates one phase instance's per-thread compute times.
-pub(crate) fn instance_compute(
-    phase: &PhaseSpec,
-    iteration: u32,
+/// One thread's compute time in cycles, `base · ((1 − w) + w · x)` rounded
+/// and clamped to at least one cycle, as an integer-valued `f64`.
+fn compute_time(base: f64, spread: f64, x: f64) -> f64 {
+    (base * ((1.0 - spread) + spread * x)).max(1.0).round()
+}
+
+/// `2^64`: where a compute time's round trip through `u64` saturates.
+/// `t.min(U64_CEILING)` equals `t as u64 as f64` for any integer-valued
+/// `t >= 0` without that round trip, which dominates a calibration pass.
+const U64_CEILING: f64 = 18_446_744_073_709_551_616.0;
+
+/// The spread-independent random draws of one trace.
+///
+/// Everything random about a trace is drawn here once: each step's base
+/// interval and each thread's `X = U^skew`. A spread turns them into
+/// compute times by plain arithmetic, so calibration probes many spreads
+/// without redrawing, and the trace is built from the same draws.
+pub(crate) struct Draws {
     threads: usize,
-    spread: f64,
-    skew: f64,
-    rng: &mut SimRng,
-) -> Vec<Cycles> {
-    let is_low = match phase.variability {
-        Variability::Swing { low_prob, .. } => rng.chance(low_prob),
-        _ => false,
-    };
-    let jitter = phase.variability.jitter();
-    let jitter_scale = if jitter > 0.0 {
-        (1.0 + rng.normal(0.0, jitter)).max(0.05)
-    } else {
-        1.0
-    };
-    let scale = phase.variability.base_scale(iteration, is_low) * jitter_scale;
-    let base = phase.base_interval.as_u64() as f64 * scale;
-    (0..threads)
-        .map(|_| {
-            let x = rng.uniform().powf(skew);
-            let t = base * ((1.0 - spread) + spread * x);
-            Cycles::new(t.max(1.0).round() as u64)
-        })
-        .collect()
+    steps: Vec<StepDraw>,
+    /// `X` per (step, thread), row-major: `steps.len() × threads`.
+    x: Vec<f64>,
+}
+
+struct StepDraw {
+    pc: u64,
+    dirty_lines: u32,
+    /// `base_interval · base_scale · jitter_scale`.
+    base: f64,
+    /// The thread with the largest `X`. A step's compute time is monotone
+    /// non-decreasing in `X` for any spread in `[0, 1]` (a non-positive
+    /// base clamps every thread to one cycle), so this thread's time is
+    /// the step's maximum.
+    argmax: usize,
+}
+
+impl Draws {
+    /// Draws the trace of `spec` for `threads` processors from `seed`.
+    pub(crate) fn new(spec: &AppSpec, threads: usize, seed: u64) -> Draws {
+        let root = SimRng::new(seed).derive(&spec.name, 0);
+        let instances = spec.total_instances();
+        let mut draws = Draws {
+            threads,
+            steps: Vec::with_capacity(instances),
+            x: Vec::with_capacity(instances * threads),
+        };
+        for (i, phase) in spec.setup_phases.iter().enumerate() {
+            draws.push(phase, 0, spec.skew, &mut root.derive("setup", i as u64));
+        }
+        for iter in 0..spec.iterations {
+            for (p, phase) in spec.loop_phases.iter().enumerate() {
+                let mut rng = root.derive("loop", (iter as u64) << 16 | p as u64);
+                draws.push(phase, iter, spec.skew, &mut rng);
+            }
+        }
+        draws
+    }
+
+    /// Draws one phase instance.
+    fn push(&mut self, phase: &PhaseSpec, iteration: u32, skew: f64, rng: &mut SimRng) {
+        let is_low = match phase.variability {
+            Variability::Swing { low_prob, .. } => rng.chance(low_prob),
+            _ => false,
+        };
+        let jitter = phase.variability.jitter();
+        let jitter_scale = if jitter > 0.0 {
+            (1.0 + rng.normal(0.0, jitter)).max(0.05)
+        } else {
+            1.0
+        };
+        let scale = phase.variability.base_scale(iteration, is_low) * jitter_scale;
+        let start = self.x.len();
+        self.x
+            .extend((0..self.threads).map(|_| rng.uniform().powf(skew)));
+        let row = &self.x[start..];
+        let argmax = (0..row.len()).fold(0, |best, t| if row[t] > row[best] { t } else { best });
+        self.steps.push(StepDraw {
+            pc: phase.pc,
+            dirty_lines: phase.dirty_lines,
+            base: phase.base_interval.as_u64() as f64 * scale,
+            argmax,
+        });
+    }
+
+    /// Each step's draws with its `X` row.
+    fn rows(&self) -> impl Iterator<Item = (&StepDraw, &[f64])> {
+        let threads = self.threads;
+        self.steps
+            .iter()
+            .enumerate()
+            .map(move |(i, step)| (step, &self.x[i * threads..(i + 1) * threads]))
+    }
+
+    /// [`AppTrace::analytic_imbalance`] of the trace [`Draws::build`]
+    /// would make at `spread`, bit for bit, without building it.
+    /// `spread` must lie in `[0, 1]`.
+    pub(crate) fn imbalance(&self, spread: f64) -> f64 {
+        let mut stall = 0.0;
+        let mut total = 0.0;
+        for (step, xs) in self.rows() {
+            let max = compute_time(step.base, spread, xs[step.argmax]).min(U64_CEILING);
+            for &x in xs {
+                let c = compute_time(step.base, spread, x).min(U64_CEILING);
+                debug_assert!(c <= max, "the argmax thread computes longest");
+                stall += max - c;
+                total += max;
+            }
+        }
+        if total == 0.0 {
+            0.0
+        } else {
+            stall / total
+        }
+    }
+
+    /// Builds the trace at `spread`.
+    pub(crate) fn build(&self, app_name: &str, spread: f64) -> AppTrace {
+        let steps = self
+            .rows()
+            .map(|(step, xs)| TraceStep {
+                pc: step.pc,
+                compute: xs
+                    .iter()
+                    .map(|&x| Cycles::new(compute_time(step.base, spread, x) as u64))
+                    .collect(),
+                dirty_lines: step.dirty_lines,
+            })
+            .collect();
+        AppTrace {
+            app_name: app_name.to_owned(),
+            threads: self.threads,
+            steps,
+            spread,
+        }
+    }
 }
 
 impl AppSpec {
@@ -162,8 +269,8 @@ impl AppSpec {
     pub fn generate(&self, threads: usize, seed: u64) -> AppTrace {
         self.validate();
         assert!(threads >= 2, "imbalance needs at least two threads");
-        let spread = calibrate_spread(self, threads, seed);
-        self.generate_with_spread(threads, seed, spread)
+        let draws = Draws::new(self, threads, seed);
+        draws.build(&self.name, calibrate_spread(&draws, self.target_imbalance))
     }
 
     /// Like [`AppSpec::generate`], but returns the trace behind an
@@ -174,37 +281,9 @@ impl AppSpec {
         std::sync::Arc::new(self.generate(threads, seed))
     }
 
-    /// Generates the trace with an explicit spread (used by calibration
-    /// itself and by tests).
+    /// Generates the trace with an explicit spread (used by tests).
     pub fn generate_with_spread(&self, threads: usize, seed: u64, spread: f64) -> AppTrace {
-        let root = SimRng::new(seed).derive(&self.name, 0);
-        let mut steps = Vec::with_capacity(
-            self.setup_phases.len() + self.loop_phases.len() * self.iterations as usize,
-        );
-        for (i, phase) in self.setup_phases.iter().enumerate() {
-            let mut rng = root.derive("setup", i as u64);
-            steps.push(TraceStep {
-                pc: phase.pc,
-                compute: instance_compute(phase, 0, threads, spread, self.skew, &mut rng),
-                dirty_lines: phase.dirty_lines,
-            });
-        }
-        for iter in 0..self.iterations {
-            for (p, phase) in self.loop_phases.iter().enumerate() {
-                let mut rng = root.derive("loop", (iter as u64) << 16 | p as u64);
-                steps.push(TraceStep {
-                    pc: phase.pc,
-                    compute: instance_compute(phase, iter, threads, spread, self.skew, &mut rng),
-                    dirty_lines: phase.dirty_lines,
-                });
-            }
-        }
-        AppTrace {
-            app_name: self.name.clone(),
-            threads,
-            steps,
-            spread,
-        }
+        Draws::new(self, threads, seed).build(&self.name, spread)
     }
 }
 
@@ -301,6 +380,18 @@ mod tests {
         for step in &t.steps {
             let first = step.compute[0];
             assert!(step.compute.iter().all(|&c| c == first));
+        }
+    }
+
+    #[test]
+    fn draws_imbalance_is_the_built_traces_bit_for_bit() {
+        let s = spec();
+        for threads in [2, 16, 64] {
+            let draws = Draws::new(&s, threads, 7);
+            for w in [0.0, 0.1, 0.37, 0.5, 0.9, 0.999, 1.0] {
+                let built = draws.build(&s.name, w).analytic_imbalance();
+                assert_eq!(draws.imbalance(w).to_bits(), built.to_bits(), "w={w}");
+            }
         }
     }
 

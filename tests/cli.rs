@@ -89,29 +89,49 @@ fn unknown_command_prints_usage() {
 
 /// The acceptance bar for the parallel harness: `sweep --jobs 8` must be
 /// byte-identical to `--jobs 1`, in both the human table and the
-/// `RunReport` JSON.
+/// `RunReport` JSON, on small machines (fewer than six threads, so the
+/// observed thread is the last one) as well as the 8-node one.
 #[test]
 fn sweep_output_is_identical_at_every_jobs_level() {
-    let serial = bin(&["sweep", "--nodes", "8", "--jobs", "1"]);
-    let parallel = bin(&["sweep", "--nodes", "8", "--jobs", "8"]);
-    assert!(serial.status.success() && parallel.status.success());
-    assert!(!serial.stdout.is_empty());
-    assert_eq!(
-        serial.stdout, parallel.stdout,
-        "human table must byte-match"
-    );
+    for nodes in ["2", "4", "8"] {
+        let serial = bin(&["sweep", "--nodes", nodes, "--jobs", "1"]);
+        let parallel = bin(&["sweep", "--nodes", nodes, "--jobs", "8"]);
+        assert!(serial.status.success(), "{nodes}: {}", stderr(&serial));
+        assert!(parallel.status.success(), "{nodes}: {}", stderr(&parallel));
+        assert!(!serial.stdout.is_empty());
+        assert_eq!(
+            serial.stdout, parallel.stdout,
+            "{nodes} nodes: human table must byte-match"
+        );
 
-    let serial_json = bin(&["sweep", "--nodes", "8", "--jobs", "1", "--json"]);
-    let parallel_json = bin(&["sweep", "--nodes", "8", "--jobs", "8", "--json"]);
-    assert!(serial_json.status.success() && parallel_json.status.success());
-    assert_eq!(
-        serial_json.stdout, parallel_json.stdout,
-        "RunReport JSON must byte-match"
-    );
-    // And the JSON really is the full 10 × 5 matrix of reports.
-    let reports: Vec<thrifty_barrier::machine::RunReport> =
-        serde::json::from_str(&String::from_utf8_lossy(&serial_json.stdout)).expect("valid JSON");
-    assert_eq!(reports.len(), 50);
+        let serial_json = bin(&["sweep", "--nodes", nodes, "--jobs", "1", "--json"]);
+        let parallel_json = bin(&["sweep", "--nodes", nodes, "--jobs", "8", "--json"]);
+        assert!(serial_json.status.success() && parallel_json.status.success());
+        assert_eq!(
+            serial_json.stdout, parallel_json.stdout,
+            "{nodes} nodes: RunReport JSON must byte-match"
+        );
+        // And the JSON really is the full 10 × 5 matrix of reports.
+        let reports: Vec<thrifty_barrier::machine::RunReport> =
+            serde::json::from_str(&String::from_utf8_lossy(&serial_json.stdout))
+                .expect("valid JSON");
+        assert_eq!(reports.len(), 50);
+    }
+}
+
+/// Every simulating command runs on the smallest machines.
+#[test]
+fn small_machines_run_every_command() {
+    for nodes in ["2", "4"] {
+        for args in [
+            &["run", "Ocean", "--nodes", nodes][..],
+            &["cutoff", "--nodes", nodes][..],
+            &["sweep", "--nodes", nodes, "--faults", "storm"][..],
+        ] {
+            let out = bin(args);
+            assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        }
+    }
 }
 
 /// Journal errors surface at runtime (the path is only opened once the
