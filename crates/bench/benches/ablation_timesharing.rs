@@ -46,7 +46,9 @@ fn main() {
                 spin_before_yield: Cycles::from_micros(50),
                 quantum: Cycles::from_millis(quantum_ms),
             });
-            let ts = simulate(cfg, &trace, AlgorithmConfig::baseline(), None);
+            let ts = simulate(cfg, &trace, AlgorithmConfig::baseline(), None)
+                .unwrap()
+                .0;
             println!(
                 "{:<11} {:<24} {:>8.1}% {:>+9.2}%",
                 app.name,

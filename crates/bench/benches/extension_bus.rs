@@ -45,9 +45,13 @@ fn main() {
         // Bus SMP.
         let mut bus_cfg = SimulatorConfig::paper_with_nodes("Baseline", nodes);
         bus_cfg.bus = Some(BusConfig::smp(nodes));
-        let bus_base = simulate(bus_cfg.clone(), &trace, AlgorithmConfig::baseline(), None);
+        let bus_base = simulate(bus_cfg.clone(), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         bus_cfg.config_name = "Thrifty".into();
-        let bus_thrifty = simulate(bus_cfg, &trace, AlgorithmConfig::thrifty(), None);
+        let bus_thrifty = simulate(bus_cfg, &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         println!(
             "{:<11} {:<11} {:>8.1}% {:>+9.2}% {:>9} {:>9}",
             app.name,

@@ -30,31 +30,32 @@
 //! * a **livelocked** simulation is stopped by the simulator's own
 //!   progress watchdog and reported as [`CellError::Livelock`] with
 //!   queue/episode diagnostics;
-//! * a cell that exceeds the policy's **wall-clock deadline** has its
-//!   worker slot abandoned (the thread is left to finish harmlessly — all
-//!   shared state is content-keyed and exactly-once) and is reported as
-//!   [`CellError::Timeout`];
+//! * a cell that exceeds the policy's **wall-clock deadline** is stopped
+//!   by the simulator, which polls the attempt's [`Deadline`], and is
+//!   reported as [`CellError::Timeout`]. The deadline covers the whole
+//!   attempt, a Baseline cache fill included; a timed-out fill leaves its
+//!   cache key empty for the next attempt;
 //! * **transient** failures (panic, timeout) are re-run up to
-//!   `policy.retries` times with deterministic, seed-derived exponential
-//!   backoff ([`retry_backoff`]); the full failure history lands in
-//!   [`CellOutcome::retries`] and each re-run emits a
-//!   [`TraceEventKind::CellRetry`] event through the policy's trace sink.
-//!   Livelocks are deterministic (same seed → same wedge schedule), so
-//!   they are never retried.
+//!   `policy.retries` times on the same worker, after a deterministic,
+//!   seed-derived exponential backoff ([`retry_backoff`]); the full failure
+//!   history lands in [`CellOutcome::retries`]. Livelocks are deterministic
+//!   (same seed → same wedge schedule), so they are never retried.
+//!
+//! Every attempt runs on the worker that claimed its cell, so when
+//! [`Harness::run_cells_supervised_with`] returns, no attempt is still
+//! running.
 
 use crate::report::{AggregateReport, RunReport};
 use crate::run::oracle_from_baseline;
-use crate::sim::{simulate, try_simulate_faulted, LivelockDiagnostics, SimulatorConfig};
+use crate::sim::{simulate, Deadline, LivelockDiagnostics, SimulatorConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tb_core::{FaultPlan, QuarantineConfig, RecordedBitOracle, SystemConfig};
 use tb_faults::FaultSummary;
-use tb_sim::{Cycles, SimRng};
-use tb_trace::{SinkHandle, TraceEvent, TraceEventKind};
+use tb_sim::SimRng;
 use tb_workloads::{AppSpec, AppTrace};
 
 /// One cell of the experiment matrix.
@@ -99,8 +100,7 @@ pub enum CellError {
     Panic(String),
     /// The simulator's progress watchdog declared the run livelocked.
     Livelock(LivelockDiagnostics),
-    /// The cell exceeded the supervisor's wall-clock deadline and its
-    /// worker slot was abandoned.
+    /// The attempt overran its wall-clock deadline and was stopped.
     Timeout {
         /// The deadline that was exceeded, in milliseconds.
         limit_ms: u64,
@@ -154,7 +154,7 @@ impl std::fmt::Display for CellError {
 
 /// The result of one supervised cell: the report (or the typed error that
 /// ended the final attempt) together with its injected-fault/recovery
-/// tallies and the errors of every abandoned earlier attempt.
+/// tallies and the errors of every failed earlier attempt.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
     /// The run report, or the error of the last attempt.
@@ -185,20 +185,16 @@ impl CellOutcome {
     }
 }
 
-/// How [`Harness::run_cells_supervised`] handles misbehaving cells.
+/// How [`Harness::run_cells_supervised_with`] handles misbehaving cells.
 #[derive(Debug, Clone, Default)]
 pub struct SupervisionPolicy {
     /// How many times a transiently failed cell (panic, timeout) is re-run
     /// before its error becomes final. `0` (the default) fails fast.
     pub retries: u32,
     /// Per-attempt wall-clock deadline. `None` (the default) waits
-    /// indefinitely; `Some` routes execution through the deadline
-    /// supervisor, which abandons the worker slot of an attempt that
-    /// overruns and records [`CellError::Timeout`].
+    /// indefinitely; `Some` stops an attempt that overruns it and records
+    /// [`CellError::Timeout`].
     pub timeout: Option<Duration>,
-    /// Where [`TraceEventKind::CellRetry`] events are emitted. Disabled by
-    /// default.
-    pub trace: SinkHandle,
 }
 
 impl SupervisionPolicy {
@@ -211,12 +207,6 @@ impl SupervisionPolicy {
     /// Sets the per-attempt wall-clock deadline.
     pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.timeout = timeout;
-        self
-    }
-
-    /// Attaches a trace sink for retry events.
-    pub fn with_trace(mut self, trace: SinkHandle) -> Self {
-        self.trace = trace;
         self
     }
 }
@@ -263,139 +253,67 @@ pub struct BaselineBundle {
 /// under one name would already be ambiguous everywhere else.
 type Key = (String, u16, u64);
 
-/// A content-keyed exactly-once cache. Each key holds a [`OnceLock`] cell;
-/// the first looker-up computes, concurrent ones block on the lock and
-/// then share the value, later ones hit.
+/// One key's cached value, empty until a fill succeeds.
+type Slot<T> = Arc<Mutex<Option<Arc<T>>>>;
+
+/// A content-keyed exactly-once cache. Each key holds a slot behind its
+/// own mutex: the first looker-up fills it, concurrent ones block on the
+/// slot and then share the value, later ones hit. A fill that fails (a
+/// Baseline run that overran its deadline) leaves the slot empty, so the
+/// next looker-up fills it instead.
 struct Cache<T> {
-    cells: Mutex<HashMap<Key, Arc<OnceLock<Arc<T>>>>>,
-    lookups: AtomicU64,
-    computes: AtomicU64,
+    slots: Mutex<HashMap<Key, Slot<T>>>,
+    hits: AtomicU64,
+    fills: AtomicU64,
 }
 
 impl<T> Default for Cache<T> {
     fn default() -> Self {
         Cache {
-            cells: Mutex::new(HashMap::new()),
-            lookups: AtomicU64::new(0),
-            computes: AtomicU64::new(0),
+            slots: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            fills: AtomicU64::new(0),
         }
     }
 }
 
 impl<T> Cache<T> {
-    fn get_or_compute(&self, key: Key, compute: impl FnOnce() -> T) -> Arc<T> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let cell = {
+    fn get_or_try_fill<E>(
+        &self,
+        key: Key,
+        fill: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        let slot = {
             // A worker that panicked while holding the lock poisons it, but
             // the map itself is never left mid-update (entry insertion is
             // atomic from the map's point of view), so recover the guard
             // instead of cascading the panic into every later lookup.
-            let mut map = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut map = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(map.entry(key).or_default())
         };
-        // The map lock is released before computing, so a slow fill never
-        // blocks lookups of other keys; `get_or_init` serializes fills of
-        // the *same* key, which is exactly the exactly-once guarantee.
-        Arc::clone(cell.get_or_init(|| {
-            self.computes.fetch_add(1, Ordering::Relaxed);
-            Arc::new(compute())
-        }))
+        // The map lock is released before filling, so a slow fill never
+        // blocks lookups of other keys; the slot lock serializes fills of
+        // the *same* key, which is exactly the exactly-once guarantee. A
+        // fill that panicked poisoned the slot while it was still empty,
+        // so its guard is recovered too.
+        let mut value = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = value.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(value));
+        }
+        let filled = Arc::new(fill()?);
+        self.fills.fetch_add(1, Ordering::Relaxed);
+        *value = Some(Arc::clone(&filled));
+        Ok(filled)
     }
 
-    fn computes(&self) -> u64 {
-        self.computes.load(Ordering::Relaxed)
+    fn fills(&self) -> u64 {
+        self.fills.load(Ordering::Relaxed)
     }
 
     fn hits(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed) - self.computes()
+        self.hits.load(Ordering::Relaxed)
     }
-}
-
-/// The cache-backed cell runner shared by every worker. Lives behind an
-/// `Arc` so the deadline supervisor can hand it to detached (`'static`)
-/// attempt threads whose slots may be abandoned.
-struct HarnessShared {
-    traces: Cache<AppTrace>,
-    baselines: Cache<BaselineBundle>,
-}
-
-impl HarnessShared {
-    fn trace(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<AppTrace> {
-        self.traces
-            .get_or_compute((app.name.clone(), nodes, seed), || {
-                app.generate(nodes as usize, seed)
-            })
-    }
-
-    fn baseline(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<BaselineBundle> {
-        let trace = self.trace(app, nodes, seed);
-        self.baselines
-            .get_or_compute((app.name.clone(), nodes, seed), || {
-                let cfg = SimulatorConfig::paper_with_nodes(SystemConfig::Baseline.name(), nodes);
-                let report = simulate(cfg, &trace, SystemConfig::Baseline.algorithm_config(), None);
-                let oracle = oracle_from_baseline(&report);
-                BaselineBundle { report, oracle }
-            })
-    }
-
-    fn try_run_cell_faulted(
-        &self,
-        cell: &Cell,
-    ) -> Result<(RunReport, FaultSummary), LivelockDiagnostics> {
-        let plan = cell.faults.clone().filter(FaultPlan::enabled);
-        if plan.is_none() && cell.config == SystemConfig::Baseline {
-            let report = self
-                .baseline(&cell.app, cell.nodes, cell.seed)
-                .report
-                .clone();
-            return Ok((report, FaultSummary::default()));
-        }
-        let trace = self.trace(&cell.app, cell.nodes, cell.seed);
-        let oracle = cell.config.needs_oracle().then(|| {
-            self.baseline(&cell.app, cell.nodes, cell.seed)
-                .oracle
-                .clone()
-        });
-        let mut cfg = SimulatorConfig::paper_with_nodes(cell.config.name(), cell.nodes);
-        let mut algo = cell.config.algorithm_config();
-        if plan.is_some() {
-            // Under injected faults the predictor needs its misprediction
-            // backstop; quarantine is part of the hardened configuration.
-            algo = algo.with_quarantine(Some(QuarantineConfig::default()));
-        }
-        cfg.faults = plan;
-        try_simulate_faulted(cfg, &trace, algo, oracle)
-    }
-
-    fn run_cell_faulted(&self, cell: &Cell) -> (RunReport, FaultSummary) {
-        match self.try_run_cell_faulted(cell) {
-            Ok(pair) => pair,
-            Err(diag) => panic!("simulation livelocked: {diag}"),
-        }
-    }
-
-    /// Runs one attempt of a cell with panic isolation, classifying every
-    /// failure mode into a [`CellError`].
-    fn run_cell_attempt(&self, cell: &Cell) -> Result<(RunReport, FaultSummary), CellError> {
-        match catch_unwind(AssertUnwindSafe(|| self.try_run_cell_faulted(cell))) {
-            Ok(Ok(pair)) => Ok(pair),
-            Ok(Err(diag)) => Err(CellError::Livelock(diag)),
-            Err(payload) => Err(CellError::Panic(panic_message(payload))),
-        }
-    }
-}
-
-fn emit_retry(policy: &SupervisionPolicy, index: usize, attempt: u32, timed_out: bool) {
-    policy.trace.emit(TraceEvent::new(
-        Cycles::ZERO,
-        index,
-        TraceEventKind::CellRetry {
-            episode: index as u64,
-            pc: 0,
-            attempt,
-            timed_out,
-        },
-    ));
 }
 
 /// Parallel experiment runner with shared trace and Baseline/oracle caches.
@@ -426,7 +344,8 @@ fn emit_retry(policy: &SupervisionPolicy, index: usize, attempt: u32, timed_out:
 /// ```
 pub struct Harness {
     jobs: usize,
-    shared: Arc<HarnessShared>,
+    traces: Cache<AppTrace>,
+    baselines: Cache<BaselineBundle>,
 }
 
 impl std::fmt::Debug for Harness {
@@ -453,10 +372,8 @@ impl Harness {
         };
         Harness {
             jobs,
-            shared: Arc::new(HarnessShared {
-                traces: Cache::default(),
-                baselines: Cache::default(),
-            }),
+            traces: Cache::default(),
+            baselines: Cache::default(),
         }
     }
 
@@ -474,28 +391,50 @@ impl Harness {
     /// The interned trace of (app, nodes, seed), generating it on first
     /// use.
     pub fn trace(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<AppTrace> {
-        self.shared.trace(app, nodes, seed)
+        let key = (app.name.clone(), nodes, seed);
+        let Ok(trace) = self.traces.get_or_try_fill(key, || {
+            Ok::<_, std::convert::Infallible>(app.generate(nodes as usize, seed))
+        });
+        trace
     }
 
     /// The interned Baseline run (and derived oracle) of (app, nodes,
     /// seed), simulating it on first use. This is the *only* place the
     /// harness runs Baseline, so each triple runs it exactly once.
-    pub fn baseline(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<BaselineBundle> {
-        self.shared.baseline(app, nodes, seed)
-    }
-
-    /// Runs one cell, reusing the cached trace and (for Baseline and the
-    /// oracle configurations) the cached Baseline run.
     ///
     /// # Panics
     ///
-    /// Panics if the simulation livelocks; use
-    /// [`Harness::try_run_cell_faulted`] for the typed error.
-    pub fn run_cell(&self, cell: &Cell) -> RunReport {
-        self.shared.run_cell_faulted(cell).0
+    /// Panics if the Baseline simulation livelocks.
+    pub fn baseline(&self, app: &AppSpec, nodes: u16, seed: u64) -> Arc<BaselineBundle> {
+        self.baseline_within(app, nodes, seed, None)
+            .expect("a Baseline run without a deadline completes")
     }
 
-    /// Runs one cell and also returns its fault tallies.
+    /// [`Harness::baseline`] under an attempt's deadline: a fill that
+    /// overruns it returns [`CellError::Timeout`] and caches nothing.
+    fn baseline_within(
+        &self,
+        app: &AppSpec,
+        nodes: u16,
+        seed: u64,
+        deadline: Option<Deadline>,
+    ) -> Result<Arc<BaselineBundle>, CellError> {
+        let trace = self.trace(app, nodes, seed);
+        self.baselines
+            .get_or_try_fill((app.name.clone(), nodes, seed), || {
+                let mut cfg =
+                    SimulatorConfig::paper_with_nodes(SystemConfig::Baseline.name(), nodes);
+                cfg.deadline = deadline;
+                let algo = SystemConfig::Baseline.algorithm_config();
+                let (report, _) = simulate(cfg, &trace, algo, None)?;
+                let oracle = oracle_from_baseline(&report);
+                Ok(BaselineBundle { report, oracle })
+            })
+    }
+
+    /// Runs one cell, reusing the cached trace and (for Baseline and the
+    /// oracle configurations) the cached Baseline run, and returns its
+    /// report with its fault tallies.
     ///
     /// A cell whose plan is absent or disabled takes exactly the clean
     /// path (including the shared-Baseline cache shortcut) and reports an
@@ -505,63 +444,78 @@ impl Harness {
     /// configurations, consumes the clean Baseline's oracle (the oracle
     /// models *prediction* knowledge, not fault knowledge).
     ///
-    /// # Panics
-    ///
-    /// Panics if the simulation livelocks; use
-    /// [`Harness::try_run_cell_faulted`] for the typed error.
-    pub fn run_cell_faulted(&self, cell: &Cell) -> (RunReport, FaultSummary) {
-        self.shared.run_cell_faulted(cell)
-    }
-
-    /// Like [`Harness::run_cell_faulted`], but a livelocked simulation
-    /// returns its [`LivelockDiagnostics`] instead of panicking.
+    /// A livelocked simulation returns [`CellError::Livelock`]; a panic
+    /// is not caught here.
     pub fn try_run_cell_faulted(
         &self,
         cell: &Cell,
-    ) -> Result<(RunReport, FaultSummary), LivelockDiagnostics> {
-        self.shared.try_run_cell_faulted(cell)
+    ) -> Result<(RunReport, FaultSummary), CellError> {
+        self.run_cell_within(cell, None)
+    }
+
+    fn run_cell_within(
+        &self,
+        cell: &Cell,
+        deadline: Option<Deadline>,
+    ) -> Result<(RunReport, FaultSummary), CellError> {
+        let plan = cell.faults.clone().filter(FaultPlan::enabled);
+        if plan.is_none() && cell.config == SystemConfig::Baseline {
+            let bundle = self.baseline_within(&cell.app, cell.nodes, cell.seed, deadline)?;
+            return Ok((bundle.report.clone(), FaultSummary::default()));
+        }
+        let trace = self.trace(&cell.app, cell.nodes, cell.seed);
+        let oracle = if cell.config.needs_oracle() {
+            let bundle = self.baseline_within(&cell.app, cell.nodes, cell.seed, deadline)?;
+            Some(bundle.oracle.clone())
+        } else {
+            None
+        };
+        let mut cfg = SimulatorConfig::paper_with_nodes(cell.config.name(), cell.nodes);
+        let mut algo = cell.config.algorithm_config();
+        if plan.is_some() {
+            // Under injected faults the predictor needs its misprediction
+            // backstop; quarantine is part of the hardened configuration.
+            algo = algo.with_quarantine(Some(QuarantineConfig::default()));
+        }
+        cfg.faults = plan;
+        cfg.deadline = deadline;
+        simulate(cfg, &trace, algo, oracle)
+    }
+
+    /// Runs one attempt of a cell with panic isolation, classifying every
+    /// failure mode into a [`CellError`].
+    fn run_cell_attempt(
+        &self,
+        cell: &Cell,
+        deadline: Option<Deadline>,
+    ) -> Result<(RunReport, FaultSummary), CellError> {
+        catch_unwind(AssertUnwindSafe(|| self.run_cell_within(cell, deadline)))
+            .unwrap_or_else(|payload| Err(CellError::Panic(panic_message(payload))))
     }
 
     /// Runs every cell and returns the reports **in `cells` order**, or
     /// the error of the first (in cell order) cell that failed.
-    ///
-    /// Workers pull the next unclaimed index from a shared counter (cheap
-    /// work stealing: a long cell never blocks the queue behind it) and
-    /// write into that index's slot, so the result layout — and therefore
-    /// any output rendered from it — is identical at every `jobs` level.
     pub fn run_cells(&self, cells: &[Cell]) -> Result<Vec<RunReport>, CellError> {
-        self.run_cells_isolated(cells)
+        self.run_cells_supervised_with(cells, &SupervisionPolicy::default(), |_, _| {})
             .into_iter()
             .map(|outcome| outcome.report)
             .collect()
     }
 
-    /// Runs every cell with per-cell panic isolation and returns the
-    /// outcomes **in `cells` order**, regardless of completion order.
-    ///
-    /// Equivalent to [`Harness::run_cells_supervised`] with the default
-    /// policy: no retries, no deadline.
-    pub fn run_cells_isolated(&self, cells: &[Cell]) -> Vec<CellOutcome> {
-        self.run_cells_supervised(cells, &SupervisionPolicy::default())
-    }
-
     /// Runs every cell under `policy` and returns the outcomes **in
-    /// `cells` order**, regardless of completion order.
-    pub fn run_cells_supervised(
-        &self,
-        cells: &[Cell],
-        policy: &SupervisionPolicy,
-    ) -> Vec<CellOutcome> {
-        self.run_cells_supervised_with(cells, policy, |_, _| {})
-    }
-
-    /// Like [`Harness::run_cells_supervised`], but invokes `on_complete`
-    /// with each cell's index and final outcome *as soon as that cell
-    /// finishes* (from whichever worker finished it — the callback must be
-    /// `Sync`). This is the checkpointing hook: a sweep journal can
+    /// `cells` order**, regardless of completion order. `on_complete` is
+    /// invoked with each cell's index and final outcome *as soon as that
+    /// cell finishes* (from whichever worker finished it — the callback
+    /// must be `Sync`). This is the checkpointing hook: a sweep journal can
     /// persist every completed cell without waiting for the whole batch.
-    /// Completion order is nondeterministic; the returned vector is always
-    /// in `cells` order.
+    ///
+    /// Workers pull the next unclaimed index from a shared counter (cheap
+    /// work stealing: a long cell never blocks the queue behind it), run
+    /// that cell's attempts and retries themselves, and write into that
+    /// index's slot, so the result layout — and therefore any output
+    /// rendered from it — is identical at every `jobs` level. One worker
+    /// runs on the calling thread; more run on scoped threads, all joined
+    /// before this returns.
     pub fn run_cells_supervised_with<F>(
         &self,
         cells: &[Cell],
@@ -571,52 +525,44 @@ impl Harness {
     where
         F: Fn(usize, &CellOutcome) + Sync,
     {
-        if policy.timeout.is_some() {
-            return self.run_cells_deadline(cells, policy, &on_complete);
-        }
-        let workers = self.jobs.min(cells.len());
-        if workers <= 1 {
-            return cells
-                .iter()
-                .enumerate()
-                .map(|(i, cell)| {
-                    let outcome = self.run_cell_supervised(i, cell, policy);
-                    on_complete(i, &outcome);
-                    outcome
-                })
-                .collect();
-        }
         let next = AtomicUsize::new(0);
         let slots: Vec<OnceLock<CellOutcome>> = cells.iter().map(|_| OnceLock::new()).collect();
-        let on_complete = &on_complete;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    let outcome = self.run_cell_supervised(i, cell, policy);
-                    on_complete(i, &outcome);
-                    slots[i].set(outcome).expect("each index is claimed once");
-                });
-            }
-        });
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(cell) = cells.get(i) else { break };
+            let outcome = self.run_cell_supervised(cell, policy);
+            on_complete(i, &outcome);
+            slots[i].set(outcome).expect("each index is claimed once");
+        };
+        let workers = self.jobs.min(cells.len());
+        if workers <= 1 {
+            work();
+        } else {
+            // Joining each handle (rather than letting the scope end)
+            // waits for its OS thread to exit, not just for `work` to
+            // return, so no worker outlives this call.
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                for handle in handles {
+                    if let Err(payload) = handle.join() {
+                        std::panic::resume_unwind(payload);
+                    }
+                }
+            });
+        }
         slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("worker filled every slot"))
             .collect()
     }
 
-    /// One cell's retry loop for the deadline-free paths: attempts run
-    /// inline on the calling worker, sleeping the backoff between retries.
-    fn run_cell_supervised(
-        &self,
-        index: usize,
-        cell: &Cell,
-        policy: &SupervisionPolicy,
-    ) -> CellOutcome {
+    /// One cell's retry loop: each attempt fixes its own deadline, and the
+    /// backoff before a retry is slept on the calling worker.
+    fn run_cell_supervised(&self, cell: &Cell, policy: &SupervisionPolicy) -> CellOutcome {
         let mut retries = Vec::new();
         loop {
-            match self.shared.run_cell_attempt(cell) {
+            let deadline = policy.timeout.and_then(Deadline::after);
+            let err = match self.run_cell_attempt(cell, deadline) {
                 Ok((report, faults)) => {
                     return CellOutcome {
                         report: Ok(report),
@@ -625,165 +571,19 @@ impl Harness {
                         reassigned: 0,
                     }
                 }
-                Err(err) => {
-                    if err.is_transient() && (retries.len() as u32) < policy.retries {
-                        let timed_out = matches!(err, CellError::Timeout { .. });
-                        retries.push(err);
-                        let attempt = retries.len() as u32;
-                        emit_retry(policy, index, attempt, timed_out);
-                        std::thread::sleep(retry_backoff(cell.seed, attempt));
-                    } else {
-                        return CellOutcome {
-                            report: Err(err),
-                            faults: FaultSummary::default(),
-                            retries,
-                            reassigned: 0,
-                        };
-                    }
-                }
+                Err(err) => err,
+            };
+            if !err.is_transient() || retries.len() as u32 >= policy.retries {
+                return CellOutcome {
+                    report: Err(err),
+                    faults: FaultSummary::default(),
+                    retries,
+                    reassigned: 0,
+                };
             }
+            retries.push(err);
+            std::thread::sleep(retry_backoff(cell.seed, retries.len() as u32));
         }
-    }
-
-    /// The deadline supervisor: attempts run on detached threads that
-    /// report back over a channel, so an attempt that overruns its
-    /// deadline can have its worker *slot* reclaimed immediately — the
-    /// thread itself is left to finish naturally (every shared structure
-    /// is content-keyed and exactly-once, so a late writer is harmless)
-    /// and its eventual result is discarded by the attempt-number filter.
-    fn run_cells_deadline<F>(
-        &self,
-        cells: &[Cell],
-        policy: &SupervisionPolicy,
-        on_complete: &F,
-    ) -> Vec<CellOutcome>
-    where
-        F: Fn(usize, &CellOutcome) + Sync,
-    {
-        let limit = policy.timeout.expect("deadline path requires a timeout");
-        let limit_ms = limit.as_millis() as u64;
-        let n = cells.len();
-        let workers = self.jobs.min(n).max(1);
-        type AttemptResult = Result<(RunReport, FaultSummary), CellError>;
-        // `tx` stays alive in this frame, so Disconnected can never fire.
-        let (tx, rx) = mpsc::channel::<(usize, u32, AttemptResult)>();
-
-        // Every incomplete cell is in exactly one of `pending` (waiting
-        // for a slot, possibly serving a backoff) or `inflight` (running,
-        // with a deadline). Entries are (index, attempt, instant).
-        let start = Instant::now();
-        let mut pending: Vec<(usize, u32, Instant)> = (0..n).map(|i| (i, 0, start)).collect();
-        let mut inflight: Vec<(usize, u32, Instant)> = Vec::new();
-        let mut attempt_of = vec![0u32; n];
-        let mut retries: Vec<Vec<CellError>> = vec![Vec::new(); n];
-        let mut results: Vec<Option<CellOutcome>> = (0..n).map(|_| None).collect();
-        let mut completed = 0usize;
-
-        while completed < n {
-            // Fill free worker slots with the lowest-indexed ready cells.
-            let now = Instant::now();
-            while inflight.len() < workers {
-                let mut best: Option<usize> = None;
-                for (p, &(i, _, ready)) in pending.iter().enumerate() {
-                    if ready <= now && best.is_none_or(|b| pending[b].0 > i) {
-                        best = Some(p);
-                    }
-                }
-                let Some(p) = best else { break };
-                let (index, attempt, _) = pending.remove(p);
-                attempt_of[index] = attempt;
-                inflight.push((index, attempt, now + limit));
-                let shared = Arc::clone(&self.shared);
-                let cell = cells[index].clone();
-                let tx = tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("tb-cell-{index}"))
-                    .spawn(move || {
-                        let result = shared.run_cell_attempt(&cell);
-                        let _ = tx.send((index, attempt, result));
-                    })
-                    .expect("spawn supervised cell worker");
-            }
-
-            // Sleep until the next thing that can happen: an inflight
-            // deadline, or (if a slot is free) a backoff expiring.
-            let mut wake = inflight.iter().map(|&(_, _, deadline)| deadline).min();
-            if inflight.len() < workers {
-                if let Some(ready) = pending.iter().map(|&(_, _, r)| r).min() {
-                    wake = Some(wake.map_or(ready, |w| w.min(ready)));
-                }
-            }
-            let wake = wake.expect("supervisor has work while cells are incomplete");
-
-            match rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
-                Ok((index, attempt, result)) => {
-                    // An abandoned attempt finishing after its deadline is
-                    // no longer inflight — drop its result.
-                    let Some(pos) = inflight
-                        .iter()
-                        .position(|&(i, a, _)| i == index && a == attempt)
-                    else {
-                        continue;
-                    };
-                    inflight.remove(pos);
-                    match result {
-                        Ok((report, faults)) => {
-                            let outcome = CellOutcome {
-                                report: Ok(report),
-                                faults,
-                                retries: std::mem::take(&mut retries[index]),
-                                reassigned: 0,
-                            };
-                            on_complete(index, &outcome);
-                            results[index] = Some(outcome);
-                            completed += 1;
-                        }
-                        Err(err) => supervise_failure(
-                            index,
-                            err,
-                            policy,
-                            cells,
-                            &mut attempt_of,
-                            &mut retries,
-                            &mut pending,
-                            &mut results,
-                            &mut completed,
-                            on_complete,
-                        ),
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let now = Instant::now();
-                    let mut k = 0;
-                    while k < inflight.len() {
-                        if inflight[k].2 <= now {
-                            let (index, _, _) = inflight.remove(k);
-                            supervise_failure(
-                                index,
-                                CellError::Timeout { limit_ms },
-                                policy,
-                                cells,
-                                &mut attempt_of,
-                                &mut retries,
-                                &mut pending,
-                                &mut results,
-                                &mut completed,
-                                on_complete,
-                            );
-                        } else {
-                            k += 1;
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("supervisor keeps a live sender")
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every cell completed"))
-            .collect()
     }
 
     /// Runs the full `apps × configs × seeds` matrix and reshapes the
@@ -824,54 +624,19 @@ impl Harness {
 
     /// Traces generated so far (one per distinct (app, nodes, seed)).
     pub fn trace_generations(&self) -> u64 {
-        self.shared.traces.computes()
+        self.traces.fills()
     }
 
-    /// Baseline simulations performed so far (one per distinct triple —
-    /// the exactly-once guarantee the caches exist for).
+    /// Baseline simulations that completed and were cached so far (one per
+    /// distinct triple — the exactly-once guarantee the caches exist for).
     pub fn baseline_runs(&self) -> u64 {
-        self.shared.baselines.computes()
+        self.baselines.fills()
     }
 
     /// Lookups served from a cache instead of recomputed, across both
     /// caches.
     pub fn cache_hits(&self) -> u64 {
-        self.shared.traces.hits() + self.shared.baselines.hits()
-    }
-}
-
-/// The deadline supervisor's shared failure path: schedule a retry (with
-/// backoff) if the policy allows, otherwise finalize the cell's outcome.
-#[allow(clippy::too_many_arguments)]
-fn supervise_failure<F: Fn(usize, &CellOutcome)>(
-    index: usize,
-    err: CellError,
-    policy: &SupervisionPolicy,
-    cells: &[Cell],
-    attempt_of: &mut [u32],
-    retries: &mut [Vec<CellError>],
-    pending: &mut Vec<(usize, u32, Instant)>,
-    results: &mut [Option<CellOutcome>],
-    completed: &mut usize,
-    on_complete: &F,
-) {
-    if err.is_transient() && (retries[index].len() as u32) < policy.retries {
-        let timed_out = matches!(err, CellError::Timeout { .. });
-        retries[index].push(err);
-        let attempt = retries[index].len() as u32;
-        emit_retry(policy, index, attempt, timed_out);
-        let backoff = retry_backoff(cells[index].seed, attempt);
-        pending.push((index, attempt_of[index] + 1, Instant::now() + backoff));
-    } else {
-        let outcome = CellOutcome {
-            report: Err(err),
-            faults: FaultSummary::default(),
-            retries: std::mem::take(&mut retries[index]),
-            reassigned: 0,
-        };
-        on_complete(index, &outcome);
-        results[index] = Some(outcome);
-        *completed += 1;
+        self.traces.hits() + self.baselines.hits()
     }
 }
 
@@ -937,11 +702,21 @@ impl AppMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use tb_trace::MemorySink;
 
     fn app() -> AppSpec {
         AppSpec::by_name("FMM").unwrap()
+    }
+
+    fn supervised(
+        harness: &Harness,
+        cells: &[Cell],
+        policy: &SupervisionPolicy,
+    ) -> Vec<CellOutcome> {
+        harness.run_cells_supervised_with(cells, policy, |_, _| {})
+    }
+
+    fn report(harness: &Harness, cell: &Cell) -> RunReport {
+        harness.try_run_cell_faulted(cell).unwrap().0
     }
 
     #[test]
@@ -949,7 +724,7 @@ mod tests {
         let harness = Harness::serial();
         let plan = FaultPlan::by_name("storm", 9).unwrap();
         let cell = Cell::new(app(), 8, 1, SystemConfig::Baseline).with_faults(plan);
-        let (faulted, summary) = harness.run_cell_faulted(&cell);
+        let (faulted, summary) = harness.try_run_cell_faulted(&cell).unwrap();
         assert!(summary.injected() > 0, "storm plan injects faults");
         assert_eq!(
             harness.baseline_runs(),
@@ -958,7 +733,7 @@ mod tests {
         );
         // The clean cell afterwards runs (and caches) the real Baseline,
         // and differs from the faulted run.
-        let clean = harness.run_cell(&Cell::new(app(), 8, 1, SystemConfig::Baseline));
+        let clean = report(&harness, &Cell::new(app(), 8, 1, SystemConfig::Baseline));
         assert_eq!(harness.baseline_runs(), 1);
         assert!(faulted.wall_time >= clean.wall_time);
     }
@@ -966,11 +741,11 @@ mod tests {
     #[test]
     fn disabled_plan_takes_the_clean_cached_path() {
         let harness = Harness::serial();
-        let clean = harness.run_cell(&Cell::new(app(), 8, 1, SystemConfig::Baseline));
+        let clean = report(&harness, &Cell::new(app(), 8, 1, SystemConfig::Baseline));
         let cell = Cell::new(app(), 8, 1, SystemConfig::Baseline).with_faults(FaultPlan::none());
-        let (report, summary) = harness.run_cell_faulted(&cell);
+        let (faulted, summary) = harness.try_run_cell_faulted(&cell).unwrap();
         assert_eq!(summary, FaultSummary::default());
-        assert_eq!(report.wall_time, clean.wall_time);
+        assert_eq!(faulted.wall_time, clean.wall_time);
         assert_eq!(
             harness.baseline_runs(),
             1,
@@ -988,7 +763,7 @@ mod tests {
             Cell::new(app(), 3, 1, SystemConfig::Thrifty),
             Cell::new(app(), 8, 2, SystemConfig::Thrifty),
         ];
-        let outcomes = harness.run_cells_isolated(&cells);
+        let outcomes = supervised(&harness, &cells, &SupervisionPolicy::default());
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].report.is_ok());
         assert!(outcomes[2].report.is_ok());
@@ -1004,38 +779,18 @@ mod tests {
         let back: CellError = serde::json::from_str(&serde::json::to_string(err)).unwrap();
         assert_eq!(&back, err);
         // The caches survive the panic: later cells still run normally.
-        let after = harness.run_cell(&Cell::new(app(), 8, 1, SystemConfig::Baseline));
+        let after = report(&harness, &Cell::new(app(), 8, 1, SystemConfig::Baseline));
         assert_eq!(after.config, "Baseline");
-    }
-
-    #[test]
-    fn isolated_and_plain_runs_agree() {
-        let harness = Harness::new(2);
-        let cells: Vec<Cell> = SystemConfig::ALL
-            .into_iter()
-            .map(|c| Cell::new(app(), 8, 1, c))
-            .collect();
-        let outcomes = harness.run_cells_isolated(&cells);
-        let plain = harness.run_cells(&cells).unwrap();
-        for (outcome, report) in outcomes.iter().zip(&plain) {
-            let ours = outcome.report.as_ref().unwrap();
-            assert_eq!(ours.wall_time, report.wall_time);
-            assert_eq!(outcome.faults, FaultSummary::default());
-            assert_eq!(outcome.attempts(), 1);
-        }
     }
 
     #[test]
     fn retry_history_records_each_attempt() {
         let harness = Harness::serial();
-        let sink = Arc::new(MemorySink::new(1, 16));
-        let policy = SupervisionPolicy::default()
-            .with_retries(2)
-            .with_trace(SinkHandle::new(sink.clone()));
+        let policy = SupervisionPolicy::default().with_retries(2);
         // Deterministic panic: every retry fails the same way, exhausting
         // the budget.
         let cells = vec![Cell::new(app(), 3, 1, SystemConfig::Thrifty)];
-        let outcomes = harness.run_cells_supervised(&cells, &policy);
+        let outcomes = supervised(&harness, &cells, &policy);
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].is_failed());
         assert_eq!(outcomes[0].attempts(), 3, "1 attempt + 2 retries");
@@ -1043,28 +798,13 @@ mod tests {
         for err in &outcomes[0].retries {
             assert!(matches!(err, CellError::Panic(_)));
         }
-        let events = sink.drain_sorted();
-        let attempts: Vec<u32> = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                TraceEventKind::CellRetry {
-                    attempt, timed_out, ..
-                } => {
-                    assert!(!timed_out, "panics are not timeouts");
-                    Some(attempt)
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(attempts, vec![1, 2]);
     }
 
     #[test]
-    fn deadline_supervisor_times_out_stuck_cells() {
+    fn deadline_times_out_slow_cells() {
         let harness = Harness::new(2);
-        // Ocean at 64 nodes takes far longer than 1 ms: the deadline
-        // fires, the slot is reclaimed, and the abandoned thread finishes
-        // (or dies with the process) on its own.
+        // Ocean at 64 nodes takes far longer than 1 ms: the simulator
+        // stops at the deadline and the cell reports a timeout.
         let cells = vec![Cell::new(
             AppSpec::by_name("Ocean").unwrap(),
             64,
@@ -1072,7 +812,7 @@ mod tests {
             SystemConfig::Baseline,
         )];
         let policy = SupervisionPolicy::default().with_timeout(Some(Duration::from_millis(1)));
-        let outcomes = harness.run_cells_supervised(&cells, &policy);
+        let outcomes = supervised(&harness, &cells, &policy);
         assert_eq!(outcomes.len(), 1);
         let err = outcomes[0].report.as_ref().unwrap_err();
         assert_eq!(err, &CellError::Timeout { limit_ms: 1 });
@@ -1081,7 +821,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_supervisor_completes_fast_cells_and_retries_slow_ones() {
+    fn deadline_completes_fast_cells_and_retries_slow_ones() {
         let harness = Harness::new(2);
         let cells = vec![Cell::new(
             AppSpec::by_name("Ocean").unwrap(),
@@ -1092,7 +832,7 @@ mod tests {
         let policy = SupervisionPolicy::default()
             .with_retries(1)
             .with_timeout(Some(Duration::from_millis(1)));
-        let outcomes = harness.run_cells_supervised(&cells, &policy);
+        let outcomes = supervised(&harness, &cells, &policy);
         assert_eq!(outcomes[0].attempts(), 2, "one timeout retry was burned");
         assert_eq!(
             outcomes[0].retries,
@@ -1107,12 +847,30 @@ mod tests {
             .into_iter()
             .map(|c| Cell::new(app(), 8, 1, c))
             .collect();
-        let supervised = harness.run_cells_supervised(&cells, &roomy);
+        let timed = supervised(&harness, &cells, &roomy);
         let plain = harness.run_cells(&cells).unwrap();
-        for (outcome, report) in supervised.iter().zip(&plain) {
+        for (outcome, report) in timed.iter().zip(&plain) {
             assert_eq!(outcome.attempts(), 1);
+            assert_eq!(outcome.faults, FaultSummary::default());
             assert_eq!(outcome.report.as_ref().unwrap().wall_time, report.wall_time);
         }
+    }
+
+    #[test]
+    fn timed_out_baseline_fill_leaves_the_cache_empty() {
+        let harness = Harness::serial();
+        let cell = Cell::new(app(), 8, 1, SystemConfig::OracleHalt);
+        // A deadline that has already passed stops the Baseline fill the
+        // oracle configuration needs before it simulates anything.
+        let err = harness
+            .run_cell_within(&cell, Deadline::after(Duration::ZERO))
+            .unwrap_err();
+        assert!(matches!(err, CellError::Timeout { .. }), "{err}");
+        assert_eq!(harness.baseline_runs(), 0, "nothing was cached");
+        // An untimed cell fills the key, exactly once.
+        report(&harness, &cell);
+        report(&harness, &Cell::new(app(), 8, 1, SystemConfig::Baseline));
+        assert_eq!(harness.baseline_runs(), 1);
     }
 
     #[test]

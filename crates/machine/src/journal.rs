@@ -411,7 +411,7 @@ enum Line {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Cell, Harness};
+    use crate::harness::{Cell, Harness, SupervisionPolicy};
     use tb_core::SystemConfig;
     use tb_workloads::AppSpec;
 
@@ -429,7 +429,9 @@ mod tests {
             1,
             SystemConfig::Baseline,
         );
-        harness.run_cells_isolated(&[cell]).remove(0)
+        harness
+            .run_cells_supervised_with(&[cell], &SupervisionPolicy::default(), |_, _| {})
+            .remove(0)
     }
 
     fn key() -> CellKey {

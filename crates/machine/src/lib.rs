@@ -62,6 +62,6 @@ pub use report::{
     AggregateReport, BarrierEventCounts, CellCoverage, InstanceRecord, RunReport, SiteSummary,
 };
 pub use sim::{
-    simulate, simulate_faulted, try_simulate_faulted, LivelockDiagnostics, Simulator,
-    SimulatorConfig, TimeSharing, DEFAULT_PROGRESS_BUDGET,
+    simulate, Deadline, LivelockDiagnostics, Simulator, SimulatorConfig, TimeSharing,
+    DEFAULT_PROGRESS_BUDGET,
 };

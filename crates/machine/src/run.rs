@@ -34,12 +34,16 @@ pub fn run_trace(trace: &AppTrace, threads_nodes: u16, sys: SystemConfig) -> Run
     let cfg = SimulatorConfig::paper_with_nodes(sys.name(), threads_nodes);
     let oracle = if sys.needs_oracle() {
         let base_cfg = SimulatorConfig::paper_with_nodes("Baseline", threads_nodes);
-        let baseline = simulate(base_cfg, trace, AlgorithmConfig::baseline(), None);
+        let baseline = simulate(base_cfg, trace, AlgorithmConfig::baseline(), None)
+            .expect("a fault-free run without a deadline completes")
+            .0;
         Some(oracle_from_baseline(&baseline))
     } else {
         None
     };
     simulate(cfg, trace, sys.algorithm_config(), oracle)
+        .expect("a fault-free run without a deadline completes")
+        .0
 }
 
 /// Runs `trace` under an explicit algorithm configuration (ablations),
@@ -53,6 +57,8 @@ pub fn run_trace_with(
 ) -> RunReport {
     let cfg = SimulatorConfig::paper_with_nodes(name, threads_nodes);
     simulate(cfg, trace, algo, oracle)
+        .expect("a fault-free run without a deadline completes")
+        .0
 }
 
 /// A run plus the trace events captured while it executed.
@@ -82,12 +88,16 @@ pub fn run_trace_recording(
     cfg.trace = SinkHandle::new(sink.clone());
     let oracle = if sys.needs_oracle() {
         let base_cfg = SimulatorConfig::paper_with_nodes("Baseline", threads_nodes);
-        let baseline = simulate(base_cfg, trace, AlgorithmConfig::baseline(), None);
+        let baseline = simulate(base_cfg, trace, AlgorithmConfig::baseline(), None)
+            .expect("a fault-free run without a deadline completes")
+            .0;
         Some(oracle_from_baseline(&baseline))
     } else {
         None
     };
-    let mut report = simulate(cfg, trace, sys.algorithm_config(), oracle);
+    let mut report = simulate(cfg, trace, sys.algorithm_config(), oracle)
+        .expect("a fault-free run without a deadline completes")
+        .0;
     let events = sink.drain_sorted();
     report.trace = Some(TraceSummary::from_events(&events, sink.dropped()));
     TracedRun { report, events }

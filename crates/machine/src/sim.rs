@@ -17,7 +17,9 @@
 //!   the thread's dirty working set through the memory system, so deep
 //!   sleeps pay real flush time and real upgrade misses afterwards.
 
+use crate::harness::CellError;
 use crate::report::{BarrierEventCounts, InstanceRecord, RunReport};
+use std::time::{Duration, Instant};
 use tb_core::{AlgorithmConfig, BarrierAlgorithm, BarrierPc, FaultPlan, SleepChoice, ThreadId};
 use tb_energy::{EnergyCategory, MachineLedger, PowerModel, SleepStateId};
 use tb_faults::{FaultInjector, FaultSummary};
@@ -40,6 +42,11 @@ const SPIN_GRAIN: Cycles = Cycles::from_nanos(4);
 /// orders of magnitude of headroom at 64 nodes yet trips in milliseconds
 /// of host time.
 pub const DEFAULT_PROGRESS_BUDGET: u64 = 1 << 18;
+/// The event loop reads the clock for its [`Deadline`] once every this
+/// many deliveries (and on the first). 2^12 deliveries take well under a
+/// millisecond of host time at 64 nodes, so an overrun attempt stops
+/// promptly while an undeadlined run never touches the clock.
+const DEADLINE_POLL_MASK: u64 = (1 << 12) - 1;
 /// Lock hand-off cost between consecutive barrier check-ins (ticket
 /// transfer over the coherence protocol).
 const LOCK_HANDOFF: Cycles = Cycles::from_nanos(40);
@@ -92,11 +99,44 @@ pub struct SimulatorConfig {
     /// the same handle.
     pub trace: SinkHandle,
     /// Livelock watchdog: the maximum number of events processed since the
-    /// last barrier departure before [`Simulator::try_run_with_faults`]
-    /// gives up with [`LivelockDiagnostics`]. `None` disables the
-    /// watchdog. Counting events does not alter the schedule, so the
-    /// default budget is active even on fault-free runs.
-    pub progress_budget: Option<u64>,
+    /// last barrier departure before [`Simulator::run`] gives up with
+    /// [`CellError::Livelock`]. Counting events does not alter the
+    /// schedule, so the budget is active even on fault-free runs.
+    pub progress_budget: u64,
+    /// Wall-clock deadline of the supervised attempt this run belongs to
+    /// (`--timeout-ms`). Once it has passed, [`Simulator::run`] stops with
+    /// [`CellError::Timeout`]. `None` runs to completion.
+    pub deadline: Option<Deadline>,
+}
+
+/// The wall-clock deadline of one supervised attempt, fixed once when the
+/// attempt starts and shared by every simulation the attempt runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Deadline {
+    at: Instant,
+    limit_ms: u64,
+}
+
+impl Deadline {
+    /// The deadline `limit` from now, or `None` when that instant is past
+    /// what the clock can represent (such a deadline never expires).
+    pub fn after(limit: Duration) -> Option<Self> {
+        Some(Deadline {
+            at: Instant::now().checked_add(limit)?,
+            limit_ms: u64::try_from(limit.as_millis()).unwrap_or(u64::MAX),
+        })
+    }
+
+    /// [`CellError::Timeout`] once the deadline has passed.
+    fn check(&self) -> Result<(), CellError> {
+        if Instant::now() >= self.at {
+            Err(CellError::Timeout {
+                limit_ms: self.limit_ms,
+            })
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// What the livelock watchdog saw when it tripped: either the
@@ -164,7 +204,8 @@ impl SimulatorConfig {
             bus: None,
             faults: None,
             trace: SinkHandle::disabled(),
-            progress_budget: Some(DEFAULT_PROGRESS_BUDGET),
+            progress_budget: DEFAULT_PROGRESS_BUDGET,
+            deadline: None,
         }
     }
 
@@ -406,45 +447,37 @@ impl Simulator {
         }
     }
 
-    /// Runs the simulation to completion and returns the report.
-    pub fn run(self) -> RunReport {
-        self.run_with_faults().0
-    }
-
-    /// Like [`run`](Self::run), but also returns the injected-fault and
-    /// recovery tallies. The summary rides next to the report rather than
-    /// inside it because the serialized `RunReport` shape is frozen by
-    /// golden fixtures; in fault-free runs it is all zeros.
+    /// Runs the simulation to completion and returns the report together
+    /// with the injected-fault and recovery tallies. The summary rides next
+    /// to the report rather than inside it because the serialized
+    /// `RunReport` shape is frozen by golden fixtures; in fault-free runs
+    /// it is all zeros.
     ///
-    /// # Panics
-    ///
-    /// Panics if the livelock watchdog trips (see
-    /// [`try_run_with_faults`](Self::try_run_with_faults) for the
-    /// non-panicking form).
-    pub fn run_with_faults(self) -> (RunReport, FaultSummary) {
-        match self.try_run_with_faults() {
-            Ok(out) => out,
-            Err(d) => panic!("simulation livelocked: {d}"),
-        }
-    }
-
-    /// Runs to completion, or returns [`LivelockDiagnostics`] if the
-    /// watchdog trips: either no barrier departure happened within the
-    /// configured event budget, or the event queue drained with threads
-    /// still waiting (a lost wake-up whose every recovery path — including
-    /// the guard timer — is dead). Fault plans with `wedge_guard` provoke
-    /// exactly this; the budget check itself never alters the schedule.
-    pub fn try_run_with_faults(mut self) -> Result<(RunReport, FaultSummary), LivelockDiagnostics> {
+    /// Fails with [`CellError::Livelock`] when the watchdog trips: either
+    /// no barrier departure happened within the configured event budget,
+    /// or the event queue drained with threads still waiting (a lost
+    /// wake-up whose every recovery path — including the guard timer — is
+    /// dead). Fault plans with `wedge_guard` provoke exactly this; the
+    /// budget check itself never alters the schedule. Fails with
+    /// [`CellError::Timeout`] once the configured deadline has passed.
+    pub fn run(mut self) -> Result<(RunReport, FaultSummary), CellError> {
         for tid in 0..self.trace.threads {
             let dur = self.trace.steps[0].compute[tid];
             self.queue.schedule(dur, Event::ComputeDone { tid });
         }
+        let budget = self.cfg.progress_budget;
+        let deadline = self.cfg.deadline;
+        let mut delivered: u64 = 0;
         while let Some((now, ev)) = self.queue.pop() {
-            self.events_since_progress += 1;
-            if let Some(budget) = self.cfg.progress_budget {
-                if self.events_since_progress > budget {
-                    return Err(self.livelock_diagnostics(budget));
+            if delivered & DEADLINE_POLL_MASK == 0 {
+                if let Some(deadline) = &deadline {
+                    deadline.check()?;
                 }
+            }
+            delivered += 1;
+            self.events_since_progress += 1;
+            if self.events_since_progress > budget {
+                return Err(CellError::Livelock(self.livelock_diagnostics(budget)));
             }
             match ev {
                 Event::ComputeDone { tid } => self.on_compute_done(tid, now),
@@ -460,7 +493,7 @@ impl Simulator {
         // recovery path failed to rescue drains the queue with a thread
         // still waiting.
         if !self.procs.iter().all(|p| p.state == ProcState::Done) {
-            return Err(self.livelock_diagnostics(0));
+            return Err(CellError::Livelock(self.livelock_diagnostics(0)));
         }
         let wall_time = self
             .procs
@@ -1217,46 +1250,19 @@ impl Simulator {
     }
 }
 
-/// Builds a [`BarrierAlgorithm`] and runs `trace` under it in one call.
+/// Builds a [`BarrierAlgorithm`] and runs `trace` under it in one call
+/// (see [`Simulator::run`] for the result).
 pub fn simulate(
     cfg: SimulatorConfig,
     trace: &AppTrace,
     algo_cfg: AlgorithmConfig,
     oracle: Option<tb_core::RecordedBitOracle>,
-) -> RunReport {
-    simulate_faulted(cfg, trace, algo_cfg, oracle).0
-}
-
-/// Like [`simulate`], but also returns the run's [`FaultSummary`] — the
-/// injected-fault/recovery side-channel for fault-matrix sweeps. With no
-/// (or a disabled) fault plan the summary is all zeros and the report is
-/// byte-identical to [`simulate`]'s.
-pub fn simulate_faulted(
-    cfg: SimulatorConfig,
-    trace: &AppTrace,
-    algo_cfg: AlgorithmConfig,
-    oracle: Option<tb_core::RecordedBitOracle>,
-) -> (RunReport, FaultSummary) {
-    match try_simulate_faulted(cfg, trace, algo_cfg, oracle) {
-        Ok(out) => out,
-        Err(d) => panic!("simulation livelocked: {d}"),
-    }
-}
-
-/// Like [`simulate_faulted`], but a tripped livelock watchdog returns
-/// [`LivelockDiagnostics`] instead of panicking — the form the harness's
-/// supervision layer consumes to report a cell as livelocked.
-pub fn try_simulate_faulted(
-    cfg: SimulatorConfig,
-    trace: &AppTrace,
-    algo_cfg: AlgorithmConfig,
-    oracle: Option<tb_core::RecordedBitOracle>,
-) -> Result<(RunReport, FaultSummary), LivelockDiagnostics> {
+) -> Result<(RunReport, FaultSummary), CellError> {
     let mut algo = BarrierAlgorithm::new(algo_cfg, trace.threads);
     if let Some(oracle) = oracle {
         algo.install_oracle(oracle);
     }
-    Simulator::new(cfg, trace.clone(), algo).try_run_with_faults()
+    Simulator::new(cfg, trace.clone(), algo).run()
 }
 
 #[cfg(test)]
@@ -1293,7 +1299,8 @@ mod tests {
             bus: None,
             faults: None,
             trace: SinkHandle::disabled(),
-            progress_budget: Some(DEFAULT_PROGRESS_BUDGET),
+            progress_budget: DEFAULT_PROGRESS_BUDGET,
+            deadline: None,
         }
     }
 
@@ -1308,7 +1315,9 @@ mod tests {
     #[test]
     fn baseline_run_completes_and_accounts_time() {
         let trace = tiny_app(10, 1000, 0.20).generate(16, 1);
-        let r = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
+        let r = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         assert_eq!(r.counts.episodes, 10);
         assert!(r.wall_time >= trace.ideal_duration());
         // Spin time exists and sleeps do not.
@@ -1321,7 +1330,9 @@ mod tests {
     #[test]
     fn baseline_imbalance_matches_trace_calibration() {
         let trace = tiny_app(20, 2000, 0.20).generate(16, 2);
-        let r = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
+        let r = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         let measured = r.barrier_imbalance();
         assert!(
             (measured - trace.analytic_imbalance()).abs() < 0.02,
@@ -1333,8 +1344,12 @@ mod tests {
     #[test]
     fn thrifty_sleeps_after_warmup_and_saves_energy() {
         let trace = tiny_app(12, 3000, 0.30).generate(16, 3);
-        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
-        let thrifty = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
+        let thrifty = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert!(thrifty.counts.total_sleeps() > 0, "threads slept");
         assert!(
             thrifty.total_energy() < base.total_energy(),
@@ -1353,7 +1368,9 @@ mod tests {
     #[test]
     fn warmup_instance_never_sleeps() {
         let trace = tiny_app(1, 3000, 0.30).generate(16, 4);
-        let r = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let r = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert_eq!(r.counts.total_sleeps(), 0, "single instance = warm-up only");
         assert_eq!(r.counts.spins, 15);
     }
@@ -1365,8 +1382,12 @@ mod tests {
         // few tens of µs: underpredictions wake internally (then spin a
         // little), overpredictions are bounded by the external signal.
         let trace = tiny_app(15, 3000, 0.30).generate(16, 5);
-        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
-        let r = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
+        let r = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert!(r.counts.internal_wakeups > 0, "timer path fires");
         assert!(r.counts.external_wakeups > 0, "invalidation path fires");
         assert_eq!(
@@ -1389,8 +1410,12 @@ mod tests {
     #[test]
     fn deterministic_runs() {
         let trace = tiny_app(8, 2000, 0.25).generate(16, 6);
-        let a = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
-        let b = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let a = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
+        let b = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert_eq!(a.wall_time, b.wall_time);
         assert_eq!(a.total_energy(), b.total_energy());
         assert_eq!(a.counts.internal_wakeups, b.counts.internal_wakeups);
@@ -1399,7 +1424,9 @@ mod tests {
     #[test]
     fn every_cpu_accounts_nearly_all_wall_time() {
         let trace = tiny_app(10, 2000, 0.25).generate(16, 7);
-        let r = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let r = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         let wall = r.wall_time.as_u64() as f64;
         for (tid, cpu) in r.ledger.iter().enumerate() {
             let accounted = cpu.total_time();
@@ -1417,7 +1444,9 @@ mod tests {
     #[test]
     fn instances_record_every_episode_in_order() {
         let trace = tiny_app(9, 1500, 0.2).generate(16, 8);
-        let r = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
+        let r = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         assert_eq!(r.instances.len(), 9);
         for (i, inst) in r.instances.iter().enumerate() {
             assert_eq!(inst.episode, i);
@@ -1441,13 +1470,19 @@ mod tests {
             jitter: 0.0,
         };
         let trace = app.generate(16, 9);
-        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
+        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         let mut oracle = tb_core::RecordedBitOracle::new();
         for inst in &base.instances {
             oracle.record(BarrierPc::new(inst.pc), inst.site_instance, inst.bit);
         }
-        let lv = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
-        let ideal = simulate(cfg("Ideal"), &trace, AlgorithmConfig::ideal(), Some(oracle));
+        let lv = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
+        let ideal = simulate(cfg("Ideal"), &trace, AlgorithmConfig::ideal(), Some(oracle))
+            .unwrap()
+            .0;
         assert!(ideal.total_energy() <= lv.total_energy() * 1.001);
         assert!(
             ideal.slowdown_vs(&base) < 0.01,
@@ -1459,7 +1494,9 @@ mod tests {
     #[test]
     fn deep_sleep_triggers_flushes() {
         let trace = tiny_app(12, 5000, 0.35).generate(16, 10);
-        let r = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let r = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert!(
             r.counts.flushes > 0,
             "long stalls pick non-snoopable states"
@@ -1475,7 +1512,9 @@ mod tests {
             &trace,
             AlgorithmConfig::thrifty_halt(),
             None,
-        );
+        )
+        .unwrap()
+        .0;
         assert!(r.counts.total_sleeps() > 0);
         assert_eq!(r.counts.flushes, 0, "Halt snoops; no flush needed");
     }
@@ -1487,11 +1526,15 @@ mod tests {
         let trace = tiny_app(10, 3000, 0.30).generate(16, 50);
         let mut bus_cfg = cfg("Baseline");
         bus_cfg.bus = Some(tb_mem::BusConfig::smp(16));
-        let base_bus = simulate(bus_cfg.clone(), &trace, AlgorithmConfig::baseline(), None);
+        let base_bus = simulate(bus_cfg.clone(), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         assert_eq!(base_bus.counts.episodes, 10);
         let mut thrifty_bus = cfg("Thrifty");
         thrifty_bus.bus = Some(tb_mem::BusConfig::smp(16));
-        let t = simulate(thrifty_bus, &trace, AlgorithmConfig::thrifty(), None);
+        let t = simulate(thrifty_bus, &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert_eq!(t.counts.episodes, 10);
         assert!(t.counts.total_sleeps() > 0);
         assert!(
@@ -1500,7 +1543,9 @@ mod tests {
         );
         assert!(t.slowdown_vs(&base_bus) < 0.05);
         // Both substrates execute the identical episode structure.
-        let dir = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
+        let dir = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         assert_eq!(base_bus.counts.episodes, dir.counts.episodes);
     }
 
@@ -1511,13 +1556,17 @@ mod tests {
         // some threads may not be able to resume execution because they
         // lack a CPU."
         let trace = tiny_app(10, 3000, 0.30).generate(16, 40);
-        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
+        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         let mut ts_cfg = cfg("TimeSharing");
         ts_cfg.time_sharing = Some(TimeSharing {
             spin_before_yield: Cycles::from_micros(50),
             quantum: Cycles::from_millis(10),
         });
-        let ts = simulate(ts_cfg, &trace, AlgorithmConfig::baseline(), None);
+        let ts = simulate(ts_cfg, &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         assert_eq!(ts.counts.episodes, 10, "time-sharing is still correct");
         assert!(
             ts.total_energy() < base.total_energy(),
@@ -1530,7 +1579,9 @@ mod tests {
         );
         // Thrifty achieves savings *without* that penalty — the paper's
         // §3.4.1 contrast.
-        let thrifty = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let thrifty = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert!(thrifty.slowdown_vs(&base) < 0.02);
     }
 
@@ -1542,8 +1593,12 @@ mod tests {
             spin_before_yield: Cycles::from_micros(20),
             quantum: Cycles::from_micros(100),
         });
-        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None);
-        let ts = simulate(ts_cfg, &trace, AlgorithmConfig::baseline(), None);
+        let base = simulate(cfg("Baseline"), &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
+        let ts = simulate(ts_cfg, &trace, AlgorithmConfig::baseline(), None)
+            .unwrap()
+            .0;
         assert_eq!(ts.counts.episodes, 8);
         assert!(
             ts.slowdown_vs(&base) < 0.05,
@@ -1560,10 +1615,14 @@ mod tests {
         let trace = tiny_app(12, 3000, 0.30).generate(16, 30);
         let mut c = cfg("Thrifty");
         c.false_wakeup = Some((1.0, 99));
-        let r = simulate(c, &trace, AlgorithmConfig::thrifty(), None);
+        let r = simulate(c, &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert_eq!(r.counts.episodes, 12, "all barriers complete");
         assert!(r.counts.false_wakeups > 0, "spurious wakes injected");
-        let clean = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let clean = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert!(
             r.ledger.energy()[EnergyCategory::Spin] >= clean.ledger.energy()[EnergyCategory::Spin],
             "false wakes cost residual spin energy"
@@ -1578,8 +1637,12 @@ mod tests {
         let trace = tiny_app(8, 2000, 0.25).generate(16, 31);
         let mut c = cfg("Thrifty");
         c.false_wakeup = Some((0.0, 1));
-        let a = simulate(c, &trace, AlgorithmConfig::thrifty(), None);
-        let b = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let a = simulate(c, &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
+        let b = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         assert_eq!(a.wall_time, b.wall_time);
         assert_eq!(a.counts.false_wakeups, 0);
     }
@@ -1597,7 +1660,7 @@ mod tests {
             WakeupMode::Hybrid,
         ] {
             let algo_cfg = AlgorithmConfig::thrifty().with_wakeup(mode);
-            let r = simulate(cfg("mode"), &trace, algo_cfg, None);
+            let r = simulate(cfg("mode"), &trace, algo_cfg, None).unwrap().0;
             assert_eq!(r.counts.episodes, 14, "{mode} must complete");
             assert!(r.counts.total_sleeps() > 0, "{mode} slept");
             match mode {
@@ -1637,10 +1700,12 @@ mod tests {
     fn disabled_fault_plan_is_byte_identical() {
         // Satellite: fault plumbing must be provably zero-cost when off.
         let trace = tiny_app(12, 3000, 0.30).generate(16, 60);
-        let clean = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None);
+        let clean = simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None)
+            .unwrap()
+            .0;
         let mut c = cfg("Thrifty");
         c.faults = Some(tb_core::FaultPlan::none());
-        let (gated, summary) = simulate_faulted(c, &trace, AlgorithmConfig::thrifty(), None);
+        let (gated, summary) = simulate(c, &trace, AlgorithmConfig::thrifty(), None).unwrap();
         assert_eq!(
             serde::json::to_string(&clean),
             serde::json::to_string(&gated)
@@ -1663,7 +1728,7 @@ mod tests {
                 if *scenario == "hang" {
                     continue; // covered by hang_scenario_trips_the_watchdog
                 }
-                let (r, _) = simulate_faulted(c, &trace, algo, None);
+                let (r, _) = simulate(c, &trace, algo, None).unwrap();
                 assert_eq!(r.counts.episodes, 20, "{scenario} seed {seed} completes");
             }
         }
@@ -1677,8 +1742,11 @@ mod tests {
         let trace = tiny_app(20, 3000, 0.30).generate(16, 62);
         let algo = AlgorithmConfig::thrifty().with_wakeup(tb_core::WakeupMode::ExternalOnly);
         let c = fault_cfg("Thrifty", "hang", 7);
-        let d = try_simulate_faulted(c, &trace, algo, None)
-            .expect_err("wedged guards must livelock this run");
+        let err =
+            simulate(c, &trace, algo, None).expect_err("wedged guards must livelock this run");
+        let CellError::Livelock(d) = err else {
+            panic!("expected a livelock, got {err}");
+        };
         assert!(d.live_threads > 0, "someone is stuck: {d}");
         assert!(
             (d.episode as usize) < trace.steps.len(),
@@ -1693,25 +1761,33 @@ mod tests {
     #[test]
     fn watchdog_budget_bounds_events_without_progress() {
         // A healthy run under an absurdly small budget must trip (sanity
-        // check that the counter is actually consulted) …
+        // check that the counter is actually consulted); the default budget
+        // never interferes with clean runs (every other test in this module
+        // exercises that).
         let trace = tiny_app(8, 2000, 0.25).generate(16, 65);
         let mut c = cfg("Thrifty");
-        c.progress_budget = Some(4);
+        c.progress_budget = 4;
         let algo = BarrierAlgorithm::new(AlgorithmConfig::thrifty(), 16);
-        let d = Simulator::new(c, trace.clone(), algo)
-            .try_run_with_faults()
+        let err = Simulator::new(c, trace, algo)
+            .run()
             .expect_err("budget of 4 events cannot reach a departure");
+        let CellError::Livelock(d) = err else {
+            panic!("expected a livelock, got {err}");
+        };
         assert!(d.budget == 4 && d.events_since_progress > 4);
-        // … while the default budget never interferes with clean runs
-        // (every other test in this module exercises that) and disabling
-        // the watchdog restores the unchecked behavior.
+    }
+
+    #[test]
+    fn passed_deadline_stops_a_run_that_would_complete() {
+        let trace = tiny_app(8, 2000, 0.25).generate(16, 65);
+        assert!(simulate(cfg("Thrifty"), &trace, AlgorithmConfig::thrifty(), None).is_ok());
         let mut c = cfg("Thrifty");
-        c.progress_budget = None;
-        let algo = BarrierAlgorithm::new(AlgorithmConfig::thrifty(), 16);
-        let (r, _) = Simulator::new(c, trace, algo)
-            .try_run_with_faults()
-            .expect("clean run completes without a watchdog");
-        assert_eq!(r.counts.episodes, 8);
+        c.deadline = Deadline::after(Duration::ZERO);
+        let err = simulate(c, &trace, AlgorithmConfig::thrifty(), None)
+            .expect_err("a deadline that has passed stops the run");
+        assert_eq!(err, CellError::Timeout { limit_ms: 0 });
+        // A deadline beyond what the clock can represent never expires.
+        assert!(Deadline::after(Duration::MAX).is_none());
     }
 
     #[test]
@@ -1721,7 +1797,7 @@ mod tests {
         // sleepers would hang forever.
         let algo = AlgorithmConfig::thrifty().with_wakeup(tb_core::WakeupMode::ExternalOnly);
         let (r, summary) =
-            simulate_faulted(fault_cfg("Thrifty", "lost-wakeup", 7), &trace, algo, None);
+            simulate(fault_cfg("Thrifty", "lost-wakeup", 7), &trace, algo, None).unwrap();
         assert_eq!(r.counts.episodes, 20);
         assert!(summary.lost_wakeups > 0, "faults actually injected");
         assert!(
@@ -1746,7 +1822,7 @@ mod tests {
         c.trace = SinkHandle::new(sink.clone());
         let algo =
             AlgorithmConfig::thrifty().with_quarantine(Some(tb_core::QuarantineConfig::default()));
-        let (r, summary) = simulate_faulted(c, &trace, algo, None);
+        let (r, summary) = simulate(c, &trace, algo, None).unwrap();
         assert_eq!(r.counts.episodes, 20);
         assert!(summary.injected() > 0, "storm injects across classes");
         assert!(
@@ -1764,16 +1840,17 @@ mod tests {
         let trace = tiny_app(15, 3000, 0.30).generate(16, 64);
         let algo = AlgorithmConfig::thrifty();
         let (a, sa) =
-            simulate_faulted(fault_cfg("Thrifty", "storm", 5), &trace, algo.clone(), None);
-        let (b, sb) = simulate_faulted(fault_cfg("Thrifty", "storm", 5), &trace, algo, None);
+            simulate(fault_cfg("Thrifty", "storm", 5), &trace, algo.clone(), None).unwrap();
+        let (b, sb) = simulate(fault_cfg("Thrifty", "storm", 5), &trace, algo, None).unwrap();
         assert_eq!(a.wall_time, b.wall_time);
         assert_eq!(sa, sb);
-        let (c, sc) = simulate_faulted(
+        let (c, sc) = simulate(
             fault_cfg("Thrifty", "storm", 6),
             &trace,
             AlgorithmConfig::thrifty(),
             None,
-        );
+        )
+        .unwrap();
         assert!(a.wall_time != c.wall_time || sa != sc, "seed matters");
     }
 

@@ -268,11 +268,6 @@ impl Engine {
         self.alive.len()
     }
 
-    /// Whether `worker` currently holds a cell lease.
-    pub fn has_lease(&self, worker: WorkerId) -> bool {
-        self.inflight.contains_key(&worker)
-    }
-
     /// Replacement workers requested so far.
     pub fn respawns_used(&self) -> u32 {
         self.respawns_used

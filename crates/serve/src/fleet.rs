@@ -22,8 +22,6 @@ use std::time::{Duration, Instant};
 use tb_machine::harness::{Cell, CellError, CellOutcome};
 use tb_machine::journal::CellKey;
 use tb_machine::report::CellCoverage;
-use tb_sim::Cycles;
-use tb_trace::{SinkHandle, TraceEvent, TraceEventKind};
 
 /// How a fleet runs a sweep.
 #[derive(Debug, Clone)]
@@ -40,8 +38,6 @@ pub struct FleetConfig {
     pub poison_strikes: u32,
     /// Replacement workers allowed before the fleet gives up.
     pub max_respawns: u32,
-    /// Sink for worker lifecycle and lease trace events.
-    pub trace: SinkHandle,
 }
 
 impl Default for FleetConfig {
@@ -53,7 +49,6 @@ impl Default for FleetConfig {
             heartbeat_ms: 500,
             poison_strikes: 2,
             max_respawns: 32,
-            trace: SinkHandle::disabled(),
         }
     }
 }
@@ -132,14 +127,6 @@ pub fn run_fleet(
         next_worker += 1;
         spawn_worker(next_worker, cfg, &tx, &mut procs)?;
         engine.worker_spawned(next_worker);
-        emit(
-            cfg,
-            TraceEventKind::WorkerSpawn {
-                episode: next_worker,
-                pc: 0,
-                respawn: false,
-            },
-        );
     }
 
     let poll = Duration::from_millis((cfg.heartbeat_ms / 2).max(10));
@@ -207,14 +194,6 @@ pub fn run_fleet(
                     let _ = proc.child.wait();
                     if !proc.retiring {
                         summary.worker_deaths += 1;
-                        emit(
-                            cfg,
-                            TraceEventKind::WorkerDeath {
-                                episode: worker,
-                                pc: 0,
-                                inflight: u32::from(engine.has_lease(worker)),
-                            },
-                        );
                         actions = engine.worker_dead(worker);
                     }
                 }
@@ -302,25 +281,8 @@ fn perform(
                 worker,
                 cell,
                 lease,
-                reassigned,
+                ..
             } => {
-                emit(
-                    cfg,
-                    if reassigned == 0 {
-                        TraceEventKind::LeaseGrant {
-                            episode: cell as u64,
-                            pc: 0,
-                            worker,
-                        }
-                    } else {
-                        TraceEventKind::LeaseReassign {
-                            episode: cell as u64,
-                            pc: 0,
-                            worker,
-                            strikes: reassigned,
-                        }
-                    },
-                );
                 let frame = ToWorker::Assign {
                     work: Assignment {
                         lease,
@@ -348,28 +310,12 @@ fn perform(
                 summary.respawns += 1;
                 spawn_worker(id, cfg, tx, procs)?;
                 engine.worker_spawned(id);
-                emit(
-                    cfg,
-                    TraceEventKind::WorkerSpawn {
-                        episode: id,
-                        pc: 0,
-                        respawn: true,
-                    },
-                );
             }
             Action::Poison {
                 cell,
                 strikes,
                 reassigned,
             } => {
-                emit(
-                    cfg,
-                    TraceEventKind::CellPoisoned {
-                        episode: cell as u64,
-                        pc: 0,
-                        strikes,
-                    },
-                );
                 let outcome = poisoned_outcome(strikes, reassigned);
                 summary.coverage.poisoned += 1;
                 summary.coverage.record_reassignments(reassigned as u64);
@@ -456,8 +402,4 @@ fn spawn_worker(
         },
     );
     Ok(())
-}
-
-fn emit(cfg: &FleetConfig, kind: TraceEventKind) {
-    cfg.trace.emit(TraceEvent::new(Cycles::ZERO, 0, kind));
 }

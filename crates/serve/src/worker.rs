@@ -155,7 +155,9 @@ pub fn worker_main() -> i32 {
                     );
                     return 2;
                 };
-                let outcome = harness.run_cells_supervised(&[cell], &policy).remove(0);
+                let outcome = harness
+                    .run_cells_supervised_with(&[cell], &policy, |_, _| {})
+                    .remove(0);
                 let done = FromWorker::Done {
                     worker: hello.worker,
                     lease: work.lease,

@@ -63,7 +63,8 @@ fn aggregate_bytes(outcomes: &[CellOutcome]) -> String {
 /// The uninterrupted reference at a given harness parallelism.
 fn reference_bytes(jobs: usize) -> String {
     let harness = Harness::new(jobs);
-    let outcomes = harness.run_cells_supervised(&cells(), &SupervisionPolicy::default());
+    let outcomes =
+        harness.run_cells_supervised_with(&cells(), &SupervisionPolicy::default(), |_, _| {});
     aggregate_bytes(&outcomes)
 }
 
@@ -147,7 +148,7 @@ fn run_with_deaths(workers: usize, deaths: &[bool]) -> Vec<CellOutcome> {
             continue;
         }
         let mut outcome = harness
-            .run_cells_supervised(&cells[cell..=cell], &policy)
+            .run_cells_supervised_with(&cells[cell..=cell], &policy, |_, _| {})
             .remove(0);
         assert!(
             engine.done(worker, lease, cell),

@@ -52,19 +52,6 @@ pub struct TraceKindCounts {
     pub quarantine_enters: u64,
     /// Barrier sites leaving predictor quarantine.
     pub quarantine_leaves: u64,
-    /// Supervisor retries of transiently failed sweep cells.
-    pub cell_retries: u64,
-    /// Worker processes spawned by the sweep coordinator (initial fleet
-    /// plus respawns).
-    pub worker_spawns: u64,
-    /// Worker-process deaths observed by the coordinator.
-    pub worker_deaths: u64,
-    /// Cell leases granted to workers.
-    pub lease_grants: u64,
-    /// Leases revoked from dead workers and requeued.
-    pub lease_reassigns: u64,
-    /// Cells quarantined as poison after repeated worker deaths.
-    pub cells_poisoned: u64,
 }
 
 impl TraceKindCounts {
@@ -95,12 +82,6 @@ impl TraceKindCounts {
                 TraceEventKind::GuardRecovery { .. } => c.guard_recoveries += 1,
                 TraceEventKind::Quarantine { entered: true, .. } => c.quarantine_enters += 1,
                 TraceEventKind::Quarantine { entered: false, .. } => c.quarantine_leaves += 1,
-                TraceEventKind::CellRetry { .. } => c.cell_retries += 1,
-                TraceEventKind::WorkerSpawn { .. } => c.worker_spawns += 1,
-                TraceEventKind::WorkerDeath { .. } => c.worker_deaths += 1,
-                TraceEventKind::LeaseGrant { .. } => c.lease_grants += 1,
-                TraceEventKind::LeaseReassign { .. } => c.lease_reassigns += 1,
-                TraceEventKind::CellPoisoned { .. } => c.cells_poisoned += 1,
             }
         }
         c
@@ -125,12 +106,6 @@ impl TraceKindCounts {
             + self.guard_recoveries
             + self.quarantine_enters
             + self.quarantine_leaves
-            + self.cell_retries
-            + self.worker_spawns
-            + self.worker_deaths
-            + self.lease_grants
-            + self.lease_reassigns
-            + self.cells_poisoned
     }
 }
 
@@ -449,23 +424,12 @@ mod tests {
                     entered: false,
                 },
             ),
-            ev(
-                5,
-                0,
-                TraceEventKind::CellRetry {
-                    episode: 2,
-                    pc: 0,
-                    attempt: 1,
-                    timed_out: true,
-                },
-            ),
         ];
         let c = TraceKindCounts::from_events(&events);
         assert_eq!(c.faults_injected, 1);
         assert_eq!(c.guard_recoveries, 1);
         assert_eq!(c.quarantine_enters, 1);
         assert_eq!(c.quarantine_leaves, 1);
-        assert_eq!(c.cell_retries, 1);
         assert_eq!(c.total(), events.len() as u64);
     }
 

@@ -198,72 +198,6 @@ pub enum TraceEventKind {
         /// (confidence rebuilt).
         entered: bool,
     },
-    /// The sweep supervisor re-ran a transiently failed cell. Emitted by
-    /// the harness, not the simulator: `episode` carries the cell's index
-    /// within the sweep and `pc` is always zero (no barrier site).
-    CellRetry {
-        /// Cell index within the sweep (not a barrier episode).
-        episode: u64,
-        /// Unused for supervisor events; always zero.
-        pc: u64,
-        /// The attempt number about to run (1 = first retry).
-        attempt: u32,
-        /// Whether the failed attempt timed out (vs. panicked).
-        timed_out: bool,
-    },
-    /// The sweep coordinator spawned a worker process (`tb-serve`).
-    /// Fleet events reuse the supervisor convention: `episode` carries a
-    /// fleet-level index (worker id or cell index) and `pc` is always
-    /// zero.
-    WorkerSpawn {
-        /// Worker id within the fleet.
-        episode: u64,
-        /// Unused for fleet events; always zero.
-        pc: u64,
-        /// Whether this spawn replaces a dead worker (vs. the initial
-        /// fleet).
-        respawn: bool,
-    },
-    /// A worker process died (crash, `kill -9`, or a missed-heartbeat
-    /// kill by the coordinator).
-    WorkerDeath {
-        /// Worker id within the fleet.
-        episode: u64,
-        /// Unused for fleet events; always zero.
-        pc: u64,
-        /// Cells the worker held a lease on when it died.
-        inflight: u32,
-    },
-    /// The coordinator leased a sweep cell to a worker.
-    LeaseGrant {
-        /// Cell index within the sweep.
-        episode: u64,
-        /// Unused for fleet events; always zero.
-        pc: u64,
-        /// The worker the lease was granted to.
-        worker: u64,
-    },
-    /// A cell whose worker died was put back on the dispatch queue.
-    LeaseReassign {
-        /// Cell index within the sweep.
-        episode: u64,
-        /// Unused for fleet events; always zero.
-        pc: u64,
-        /// The dead worker whose lease was revoked.
-        worker: u64,
-        /// Consecutive worker deaths this cell has now caused.
-        strikes: u32,
-    },
-    /// A cell killed enough workers in a row to be quarantined as poison:
-    /// it is recorded in coverage as failed and never dispatched again.
-    CellPoisoned {
-        /// Cell index within the sweep.
-        episode: u64,
-        /// Unused for fleet events; always zero.
-        pc: u64,
-        /// Worker deaths that condemned the cell.
-        strikes: u32,
-    },
 }
 
 impl TraceEventKind {
@@ -285,12 +219,6 @@ impl TraceEventKind {
             TraceEventKind::FaultInjected { .. } => "fault_injected",
             TraceEventKind::GuardRecovery { .. } => "guard_recovery",
             TraceEventKind::Quarantine { .. } => "quarantine",
-            TraceEventKind::CellRetry { .. } => "cell_retry",
-            TraceEventKind::WorkerSpawn { .. } => "worker_spawn",
-            TraceEventKind::WorkerDeath { .. } => "worker_death",
-            TraceEventKind::LeaseGrant { .. } => "lease_grant",
-            TraceEventKind::LeaseReassign { .. } => "lease_reassign",
-            TraceEventKind::CellPoisoned { .. } => "cell_poisoned",
         }
     }
 
@@ -311,13 +239,7 @@ impl TraceEventKind {
             | TraceEventKind::CutoffDisable { episode, .. }
             | TraceEventKind::FaultInjected { episode, .. }
             | TraceEventKind::GuardRecovery { episode, .. }
-            | TraceEventKind::Quarantine { episode, .. }
-            | TraceEventKind::CellRetry { episode, .. }
-            | TraceEventKind::WorkerSpawn { episode, .. }
-            | TraceEventKind::WorkerDeath { episode, .. }
-            | TraceEventKind::LeaseGrant { episode, .. }
-            | TraceEventKind::LeaseReassign { episode, .. }
-            | TraceEventKind::CellPoisoned { episode, .. } => episode,
+            | TraceEventKind::Quarantine { episode, .. } => episode,
         }
     }
 
@@ -338,13 +260,7 @@ impl TraceEventKind {
             | TraceEventKind::CutoffDisable { pc, .. }
             | TraceEventKind::FaultInjected { pc, .. }
             | TraceEventKind::GuardRecovery { pc, .. }
-            | TraceEventKind::Quarantine { pc, .. }
-            | TraceEventKind::CellRetry { pc, .. }
-            | TraceEventKind::WorkerSpawn { pc, .. }
-            | TraceEventKind::WorkerDeath { pc, .. }
-            | TraceEventKind::LeaseGrant { pc, .. }
-            | TraceEventKind::LeaseReassign { pc, .. }
-            | TraceEventKind::CellPoisoned { pc, .. } => pc,
+            | TraceEventKind::Quarantine { pc, .. } => pc,
         }
     }
 }
@@ -438,38 +354,6 @@ mod tests {
                 pc: 7,
                 entered: true,
             },
-            TraceEventKind::CellRetry {
-                episode: 3,
-                pc: 7,
-                attempt: 1,
-                timed_out: false,
-            },
-            TraceEventKind::WorkerSpawn {
-                episode: 3,
-                pc: 7,
-                respawn: true,
-            },
-            TraceEventKind::WorkerDeath {
-                episode: 3,
-                pc: 7,
-                inflight: 1,
-            },
-            TraceEventKind::LeaseGrant {
-                episode: 3,
-                pc: 7,
-                worker: 2,
-            },
-            TraceEventKind::LeaseReassign {
-                episode: 3,
-                pc: 7,
-                worker: 2,
-                strikes: 1,
-            },
-            TraceEventKind::CellPoisoned {
-                episode: 3,
-                pc: 7,
-                strikes: 2,
-            },
         ];
         let mut names = std::collections::BTreeSet::new();
         for k in kinds {
@@ -477,7 +361,7 @@ mod tests {
             assert_eq!(k.pc(), 7);
             names.insert(k.name());
         }
-        assert_eq!(names.len(), 21, "names are distinct");
+        assert_eq!(names.len(), 15, "names are distinct");
     }
 
     #[test]

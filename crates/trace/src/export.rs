@@ -93,30 +93,6 @@ fn args_for(kind: &TraceEventKind) -> Value {
         TraceEventKind::Quarantine { entered, .. } => {
             fields.push(("entered", Value::Bool(entered)));
         }
-        TraceEventKind::CellRetry {
-            attempt, timed_out, ..
-        } => {
-            fields.push(("attempt", Value::U64(attempt as u64)));
-            fields.push(("timed_out", Value::Bool(timed_out)));
-        }
-        TraceEventKind::WorkerSpawn { respawn, .. } => {
-            fields.push(("respawn", Value::Bool(respawn)));
-        }
-        TraceEventKind::WorkerDeath { inflight, .. } => {
-            fields.push(("inflight", Value::U64(inflight as u64)));
-        }
-        TraceEventKind::LeaseGrant { worker, .. } => {
-            fields.push(("worker", Value::U64(worker)));
-        }
-        TraceEventKind::LeaseReassign {
-            worker, strikes, ..
-        } => {
-            fields.push(("worker", Value::U64(worker)));
-            fields.push(("strikes", Value::U64(strikes as u64)));
-        }
-        TraceEventKind::CellPoisoned { strikes, .. } => {
-            fields.push(("strikes", Value::U64(strikes as u64)));
-        }
         TraceEventKind::SpinStart { .. }
         | TraceEventKind::InternalWake { .. }
         | TraceEventKind::ExternalWake { .. }

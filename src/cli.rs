@@ -35,8 +35,9 @@ pub struct Options {
     /// Transient-failure retry budget per cell for supervised sweeps
     /// (`--retries`, at most [`MAX_RETRIES`]).
     pub retries: u32,
-    /// Per-attempt wall-clock deadline in milliseconds (`--timeout-ms`);
-    /// `None` waits indefinitely.
+    /// Per-attempt wall-clock deadline in milliseconds (`--timeout-ms`):
+    /// an attempt that overruns it stops and counts as timed out. `None`
+    /// waits indefinitely.
     pub timeout_ms: Option<u64>,
     /// Write a crash-consistent sweep journal to this path (`--journal`).
     pub journal: Option<String>,

@@ -172,35 +172,12 @@ fn cmd_run(app_name: &str, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(opts: &Options) -> Result<(), String> {
-    // Supervision (fault scenarios, retries, deadlines, journaling) all
-    // flows through the outcome-per-cell path; the plain matrix path stays
-    // the fast default and the two must render byte-identical tables.
-    let supervised = opts.faults.is_some()
-        || opts.journal.is_some()
-        || opts.resume.is_some()
-        || opts.retries > 0
-        || opts.timeout_ms.is_some()
-        || opts.workers > 0;
-    if supervised {
-        return cmd_sweep_supervised(opts);
-    }
-    let harness = Harness::new(opts.jobs);
-    let seeds = opts.seed_list();
-    let matrix = harness
-        .run_matrix(&AppSpec::splash2(), &SystemConfig::ALL, opts.nodes, &seeds)
-        .map_err(|e| format!("cell failed: {e}"))?;
-    render_sweep(&matrix, &SystemConfig::ALL, &seeds, opts.json);
-    Ok(())
-}
-
 /// Renders the sweep result: flat-report JSON or the per-app table.
-fn render_sweep(matrix: &[AppMatrix], configs: &[SystemConfig], seeds: &[u64], json: bool) {
+fn render_sweep(matrix: Vec<AppMatrix>, configs: &[SystemConfig], seeds: &[u64], json: bool) {
     if json {
         let all: Vec<RunReport> = matrix
-            .iter()
-            .cloned()
-            .flat_map(|m| m.into_flat_reports())
+            .into_iter()
+            .flat_map(AppMatrix::into_flat_reports)
             .collect();
         println!("{}", serde::json::to_string(&all));
         return;
@@ -227,7 +204,7 @@ fn render_sweep(matrix: &[AppMatrix], configs: &[SystemConfig], seeds: &[u64], j
     }
     header.push_str(&format!(" | {:>8}", "slowdn"));
     println!("{header}");
-    for m in matrix {
+    for m in &matrix {
         let aggs = m.aggregates();
         let base = &aggs[configs
             .iter()
@@ -258,13 +235,13 @@ fn render_sweep(matrix: &[AppMatrix], configs: &[SystemConfig], seeds: &[u64], j
     }
 }
 
-/// The supervised sweep: every (app × config × seed) cell runs as an
-/// isolated [`CellOutcome`], optionally under a named fault scenario, a
-/// retry budget, a wall-clock deadline, and a crash-consistent journal.
-/// A disabled scenario ("none") — or no scenario at all — renders the
-/// ordinary sweep table from the same plumbing, byte-for-byte, so the
-/// zero-cost-when-disabled guarantee is directly observable.
-fn cmd_sweep_supervised(opts: &Options) -> Result<(), String> {
+/// The sweep: every (app × config × seed) cell runs as an isolated
+/// [`CellOutcome`], optionally under a named fault scenario, a retry
+/// budget, a per-attempt wall-clock deadline, and a crash-consistent
+/// journal. A disabled scenario ("none") — or no scenario at all —
+/// renders the ordinary sweep table, so the zero-cost-when-disabled
+/// guarantee is directly observable.
+fn cmd_sweep(opts: &Options) -> Result<(), String> {
     let harness = Harness::new(opts.jobs);
     let configs = SystemConfig::ALL;
     let seeds = opts.seed_list();
@@ -428,34 +405,24 @@ fn cmd_sweep_supervised(opts: &Options) -> Result<(), String> {
                 ));
             }
         }
-        // Reshape into the ordinary matrix and render the ordinary sweep,
-        // byte-for-byte.
+        // Reshape into the ordinary matrix (the layout `run_matrix`
+        // produces) and render the ordinary sweep, byte-for-byte.
+        let mut reports = outcomes
+            .into_iter()
+            .map(|o| o.report.expect("failed cells abort above"));
         let matrix: Vec<AppMatrix> = apps
             .iter()
-            .enumerate()
-            .map(|(a, app)| AppMatrix {
+            .map(|app| AppMatrix {
                 app: app.clone(),
                 configs: configs.to_vec(),
                 seeds: seeds.clone(),
                 reports: configs
                     .iter()
-                    .enumerate()
-                    .map(|(c, _)| {
-                        seeds
-                            .iter()
-                            .enumerate()
-                            .map(|(s, _)| {
-                                outcomes[idx(a, c, s)]
-                                    .report
-                                    .clone()
-                                    .expect("failed cells abort above")
-                            })
-                            .collect()
-                    })
+                    .map(|_| (&mut reports).take(seeds.len()).collect())
                     .collect(),
             })
             .collect();
-        render_sweep(&matrix, &configs, &seeds, opts.json);
+        render_sweep(matrix, &configs, &seeds, opts.json);
         return Ok(());
     }
     let scenario = scenario.expect("faulted implies a scenario");
@@ -482,7 +449,12 @@ fn cmd_sweep_supervised(opts: &Options) -> Result<(), String> {
                 match (&outcome.report, &outcomes[idx(a, base_col, s)].report) {
                     (Ok(report), Ok(baseline)) => agg.push(report, baseline),
                     (Err(err), _) => agg.record_error(err),
-                    (Ok(_), Err(_)) => agg.record_failure("baseline cell failed"),
+                    // The cell itself completed; only its normalization
+                    // is missing.
+                    (Ok(_), Err(_)) => {
+                        agg.coverage.completed += 1;
+                        agg.record_failure("baseline cell failed");
+                    }
                 }
             }
             aggs.push(agg);
@@ -612,7 +584,8 @@ fn usage() -> ! {
          options: --nodes N (power of two <= 64), --seed S, --seeds K, --jobs J,\n\
          \x20        --json, --format perfetto|jsonl, --ring EVENTS_PER_THREAD, --config C\n\
          sweep supervision: --retries N (re-run transient failures, max 10),\n\
-         \x20        --timeout-ms MS (per-cell wall-clock deadline),\n\
+         \x20        --timeout-ms MS (per-attempt wall-clock deadline; an attempt\n\
+         \x20        that overruns it stops and counts as timed out),\n\
          \x20        --journal PATH (checkpoint completed cells to a JSONL journal),\n\
          \x20        --resume PATH (replay a journal, run only what is missing)\n\
          multi-process sweeps: --workers W (worker processes, max 64),\n\

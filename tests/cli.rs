@@ -185,3 +185,46 @@ fn run_with_seeds_reports_aggregates() {
     assert!(stdout.contains("over 2 seeds"), "{stdout}");
     assert!(stdout.contains("±"), "{stdout}");
 }
+
+#[test]
+fn cell_orphaned_by_a_failed_baseline_still_counts_as_completed() {
+    use thrifty_barrier::machine::journal::CellRecord;
+    use thrifty_barrier::machine::CellError;
+
+    let dir = std::env::temp_dir().join(format!("tb-cli-orphan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("storm8.jsonl");
+    let journal = journal.to_str().unwrap();
+    let sweep = ["sweep", "--nodes", "8", "--faults", "storm"];
+    let create = bin(&[&sweep[..], &["--journal", journal]].concat());
+    assert!(create.status.success(), "{}", stderr(&create));
+
+    // Turn one recorded Baseline outcome into a timeout: the other four
+    // configurations of that seed completed but have nothing to be
+    // normalized against.
+    let text = std::fs::read_to_string(journal).unwrap();
+    let mut edited = 0;
+    let lines: Vec<String> = text
+        .lines()
+        .map(|line| match serde::json::from_str::<CellRecord>(line) {
+            Ok(mut rec) if edited == 0 && rec.key.config == "Baseline" => {
+                edited += 1;
+                rec.outcome.report = None;
+                rec.outcome.error = Some(CellError::Timeout { limit_ms: 1 });
+                serde::json::to_string(&rec)
+            }
+            _ => line.to_string(),
+        })
+        .collect();
+    assert_eq!(edited, 1, "the journal holds a Baseline record");
+    std::fs::write(journal, lines.join("\n") + "\n").unwrap();
+
+    let out = bin(&[&sweep[..], &["--resume", journal]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("coverage: 49/50 cells completed, 1 timed out"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

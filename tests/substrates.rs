@@ -29,8 +29,12 @@ fn bus_numbers(app: &AppSpec) -> (f64, f64, f64) {
     let trace = app.generate(NODES as usize, SEED);
     let mut cfg = SimulatorConfig::paper_with_nodes("Baseline", NODES);
     cfg.bus = Some(BusConfig::smp(NODES));
-    let base = simulate(cfg.clone(), &trace, AlgorithmConfig::baseline(), None);
-    let thrifty = simulate(cfg, &trace, AlgorithmConfig::thrifty(), None);
+    let base = simulate(cfg.clone(), &trace, AlgorithmConfig::baseline(), None)
+        .unwrap()
+        .0;
+    let thrifty = simulate(cfg, &trace, AlgorithmConfig::thrifty(), None)
+        .unwrap()
+        .0;
     (
         base.total_energy(),
         thrifty.total_energy(),
